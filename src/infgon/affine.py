@@ -261,14 +261,10 @@ def sym_eq_atoms(p: SymPoint, q: SymPoint):
     return [LinIneq(*diff), LinIneq(-diff[0], -diff[1], -diff[2])]
 
 
-def _cyc3(a: SymPoint, b: SymPoint, c: SymPoint) -> list[list]:
-    lt = sym_lt
-    return [[lt(a, b), lt(b, c)], [lt(b, c), lt(c, a)], [lt(c, a), lt(a, b)]]
-
-
 def orient_conjunctions(a: SymPoint, b: SymPoint, c: SymPoint) -> list[list]:
     """DNF for strict anticlockwise orientation of three symbolic points."""
-    return _cyc3(a, b, c)
+    lt = sym_lt
+    return [[lt(a, b), lt(b, c)], [lt(b, c), lt(c, a)], [lt(c, a), lt(a, b)]]
 
 
 def cross_conjunctions(pair_a: tuple[SymPoint, SymPoint], pair_b: tuple[SymPoint, SymPoint]) -> list[list]:
@@ -282,8 +278,8 @@ def cross_conjunctions(pair_a: tuple[SymPoint, SymPoint], pair_b: tuple[SymPoint
     q1, q2 = pair_b
     out = []
     for r, s in ((q1, q2), (q2, q1)):
-        for c1 in _cyc3(p1, r, p2):
-            for c2 in _cyc3(p2, s, p1):
+        for c1 in orient_conjunctions(p1, r, p2):
+            for c2 in orient_conjunctions(p2, s, p1):
                 out.append(c1 + c2)
     return out
 

@@ -83,6 +83,11 @@ class Arc:
         return f"Arc({format_arc(self)} on {self.surface.describe()})"
 
 
+def arc_key(g: Arc) -> tuple:
+    """Canonical sort key: the circuit keys of the two endpoints, in order."""
+    return (g.a.circuit_key(), g.b.circuit_key())
+
+
 class ArcClass(Enum):
     """Behaviour of an uncompleted arc under the squeeze map.
 

@@ -97,6 +97,12 @@ def _load_triangulation(token: str) -> Triangulation:
             return triangulation_from_json(json.load(fh))
     except FileNotFoundError:
         raise UsageError(f"triangulation {token!r}: no such file and not an inline builder spec")
+    except OSError as exc:
+        raise UsageError(f"triangulation {token!r}: cannot read the file ({exc.strerror})")
+    except KeyError as exc:
+        raise UsageError(f"triangulation {token!r}: missing field {exc}")
+    except TypeError as exc:
+        raise UsageError(f"triangulation {token!r}: malformed document ({exc})")
 
 
 def _arc_pair(args) -> tuple[Arc, Arc]:
@@ -157,12 +163,7 @@ def _cmd_window_ct(args) -> int:
     window = Window.symmetric(surface, args.bound, include_accumulation=not args.no_accumulation)
     sets = window_brute_force(window)
     arcs = window_arcs(window)
-    weak_ct = 0
-    for T in sets:
-        right = {x for x in arcs if all(ext_dim(x, t) == 0 for t in T)}
-        left = {x for x in arcs if all(ext_dim(t, x) == 0 for t in T)}
-        if right == set(T) == left:
-            weak_ct += 1
+    weak_ct = sum(1 for T in sets if acceptance.is_weak_ct(arcs, T))
     payload = {
         "points": len(window.points),
         "maximal_non_crossing": len(sets),
@@ -296,7 +297,6 @@ def _cmd_approx_object(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    spec = RenderSpec(radius=args.radius, highlight=())
     if args.triangulation:
         subject = _load_triangulation(args.triangulation)
         surface = subject.surface
@@ -305,8 +305,7 @@ def _cmd_render(args) -> int:
     else:
         surface = parse_surface(args.surface)
         subject = [parse_arc(surface, tok) for tok in args.arcs]
-    if args.highlight:
-        spec = RenderSpec(radius=args.radius, highlight=tuple(parse_arc(surface, h) for h in args.highlight))
+    spec = RenderSpec(radius=args.radius, highlight=tuple(parse_arc(surface, h) for h in args.highlight))
     svg = render_svg(subject, spec, surface=surface)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

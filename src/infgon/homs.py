@@ -60,9 +60,6 @@ class BoundaryInterval:
         """Position ranges of the given interval's regular points inside the interval."""
         return [(seg[2], seg[3]) for seg in self.segments() if seg[0] == "run" and seg[1] == interval]
 
-    def contains_accumulation(self, interval: int) -> bool:
-        return any(seg == ("acc", interval) for seg in self.segments())
-
 
 def _surface_slots(surface: Surface) -> list[int]:
     if surface.completed:
@@ -104,21 +101,13 @@ def _segments(x: Point, y: Point, closed_start: bool, closed_end: bool) -> list[
             hi = py if closed_end else py - 1
             out.append(("run", y.interval, None, hi))
 
-    if sx == sy:
+    if sx == sy and px < py:
         # Same accumulation slot would force x == y, so both points are regular.
-        if px < py:
-            lo = px if closed_start else px + 1
-            hi = py if closed_end else py - 1
-            return [("run", x.interval, lo, hi)] if lo <= hi else []
-        # px > py: the interval wraps nearly the whole circle
-        head()
-        slots = _surface_slots(surface)
-        i = slots.index(sx)
-        for s in slots[i + 1 :] + slots[:i]:
-            out.append(("acc", s // 2) if s % 2 == 0 else ("run", (s + 1) // 2, None, None))
-        tail()
-        return [seg for seg in out if seg[0] == "acc" or seg[2] is None or seg[3] is None or seg[2] <= seg[3]]
+        lo = px if closed_start else px + 1
+        hi = py if closed_end else py - 1
+        return [("run", x.interval, lo, hi)] if lo <= hi else []
 
+    # With sx == sy and px > py the interval wraps nearly the whole circle: i == j below.
     head()
     slots = _surface_slots(surface)
     i, j = slots.index(sx), slots.index(sy)

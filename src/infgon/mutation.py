@@ -12,10 +12,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .affine import IntRange, cross_conjunctions, orient_conjunctions, solve_1var_range
-from .arcs import Arc, format_arc
+from .affine import IntRange
+from .arcs import Arc, arc_key, format_arc
 from .homs import ExtCase, exchange_triangles, ext_case, hom_dim
-from .surface import MixedSurfaceError, Point, Surface, step
+from .surface import MixedSurfaceError, Point, step
 from .triangulation import (
     CertificateStatus,
     Family,
@@ -26,8 +26,8 @@ from .triangulation import (
     Single,
     Triangulation,
     TriangulationError,
-    _gen_sym_pair,
-    _sym_fixed,
+    ext_param_ranges,
+    family_param_of,
     limit_of_family,
     neighbor_scan,
     validate_non_crossing,
@@ -164,8 +164,6 @@ class MutationResult:
 
 
 def _remove_arc(t: Triangulation, a: Arc) -> tuple:
-    from .triangulation import _family_param_of
-
     out = []
     removed = False
     for gen in t.generators:
@@ -175,7 +173,7 @@ def _remove_arc(t: Triangulation, a: Arc) -> tuple:
                 continue
             out.append(gen)
             continue
-        tpar = _family_param_of(t.surface, gen, a)
+        tpar = family_param_of(t.surface, gen, a)
         if tpar is None:
             out.append(gen)
             continue
@@ -231,64 +229,6 @@ class NotFinitelyGenerated:
     description: str
 
 
-def _crossing_param_ranges(surface: Surface, fam: Family, g: Arc) -> list[IntRange]:
-    pair_a = _gen_sym_pair(fam, 0)
-    pair_b = (_sym_fixed(g.a), _sym_fixed(g.b))
-    ranges: list[IntRange] = []
-    for conj in cross_conjunctions(pair_a, pair_b):
-        ineqs: list[tuple[int, int]] = []
-        feasible = True
-        for atom in conj:
-            if atom is False:
-                feasible = False
-                break
-            if atom is True:
-                continue
-            ineqs.append((atom.a, atom.c))
-        if not feasible:
-            continue
-        if fam.domain.lo is not None:
-            ineqs.append((1, -fam.domain.lo))
-        if fam.domain.hi is not None:
-            ineqs.append((-1, fam.domain.hi))
-        r = solve_1var_range(ineqs)
-        if r is not None:
-            ranges.append(r)
-    return ranges
-
-
-def _meet_param_ranges(surface: Surface, fam: Family, g: Arc) -> list[IntRange]:
-    p = fam.fixed_endpoint
-    if p is None or p.pos is not None or not g.has_endpoint(p):
-        return []
-    b = g.other_endpoint(p)
-    mov = fam.moving_endpoints[0]
-    sym_p = _sym_fixed(p)
-    sym_b = _sym_fixed(b)
-    sym_a = (2 * mov.interval - 1, (mov.stride, 0, mov.base))
-    ranges: list[IntRange] = []
-    for conj in orient_conjunctions(sym_p, sym_b, sym_a):
-        ineqs: list[tuple[int, int]] = []
-        feasible = True
-        for atom in conj:
-            if atom is False:
-                feasible = False
-                break
-            if atom is True:
-                continue
-            ineqs.append((atom.a, atom.c))
-        if not feasible:
-            continue
-        if fam.domain.lo is not None:
-            ineqs.append((1, -fam.domain.lo))
-        if fam.domain.hi is not None:
-            ineqs.append((-1, fam.domain.hi))
-        r = solve_1var_range(ineqs)
-        if r is not None:
-            ranges.append(r)
-    return ranges
-
-
 def _merge_ranges(ranges: list[IntRange]) -> list[IntRange]:
     rs = [r for r in ranges if not r.is_empty]
     if not rs:
@@ -331,9 +271,7 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
             if ext_case(gen.arc, g) is not ExtCase.NONE:
                 loose.append(gen.arc)
             continue
-        ranges = _merge_ranges(
-            _crossing_param_ranges(t.surface, gen, g) + _meet_param_ranges(t.surface, gen, g)
-        )
+        ranges = _merge_ranges(ext_param_ranges(gen, g))
         apex = gen.fixed_endpoint
         for r in ranges:
             if not r.is_bounded:
@@ -391,7 +329,7 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
 
     out: set[Arc] = {arc for arc in still_loose if arc not in covered}
     for _apex, cands in apex_candidates.items():
-        ordered = sorted(cands, key=lambda a: (a.a.circuit_key(), a.b.circuit_key()))
+        ordered = sorted(cands, key=arc_key)
         if len(ordered) == 1:
             out.add(ordered[0])
             continue
@@ -404,4 +342,4 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
             out.add(sinks[0])
         else:
             out.update(ordered)
-    return sorted(out, key=lambda a: (a.a.circuit_key(), a.b.circuit_key()))
+    return sorted(out, key=arc_key)

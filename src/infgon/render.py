@@ -12,16 +12,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .arcs import Arc
+from .arcs import Arc, arc_key
 from .surface import Point, Surface
-from .triangulation import Family, Moving, Triangulation, Window, _escape
+from .triangulation import Family, Triangulation, Window, _escape, visible_params
+
+SIZE = 420  # width and height of the picture, in pixels
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     radius: int
     highlight: tuple[Arc, ...] = ()
-    size: int = 420
 
     def __post_init__(self) -> None:
         if self.radius < 2:
@@ -33,10 +34,9 @@ def _fmt(v: float) -> str:
 
 
 class _Layout:
-    def __init__(self, window: Window, size: int):
-        self.size = size
-        self.cx = self.cy = size / 2
-        self.r = size * 0.42
+    def __init__(self, window: Window):
+        self.cx = self.cy = SIZE / 2
+        self.r = SIZE * 0.42
         pts = window.points
         self.angle = {}
         m = len(pts)
@@ -89,27 +89,15 @@ class _Layout:
 def _truncation_gaps(t: Triangulation, window: Window) -> list[int]:
     """Gaps whose direction hides part of a family beyond the window."""
     gaps: set[int] = set()
-    pts = set(window.points)
     n = t.surface.intervals
     for gen in t.generators:
         if not isinstance(gen, Family):
             continue
-        visible = gen.domain
-        for e in (gen.e0, gen.e1):
-            if isinstance(e, Moving):
-                positions = sorted(p.pos for p in pts if p.interval == e.interval and p.pos is not None)
-                if not positions:
-                    visible = None
-                    break
-                visible = visible.intersect(e.params_with_pos_in(positions[0], positions[-1]))
-        movings = gen.moving_endpoints
-        if not movings:
-            continue
-        probe = movings[0]
+        visible = visible_params(gen, window)
+        probe = gen.moving_endpoints[0]
         for end in (1, -1):
             beyond = (
-                visible is None
-                or visible.is_empty
+                visible.is_empty
                 or (end > 0 and (gen.domain.hi is None or (visible.hi is not None and visible.hi < gen.domain.hi)))
                 or (end < 0 and (gen.domain.lo is None or (visible.lo is not None and visible.lo > gen.domain.lo)))
             )
@@ -126,10 +114,10 @@ def render_svg(
     if isinstance(subject, Triangulation):
         surface = subject.surface
         window = Window.symmetric(surface, spec.radius)
-        arcs = sorted(subject.arcs_in_window(window), key=lambda a: (a.a.circuit_key(), a.b.circuit_key()))
+        arcs = sorted(subject.arcs_in_window(window), key=arc_key)
         trunc_gaps = _truncation_gaps(subject, window)
     else:
-        arcs = sorted(set(subject), key=lambda a: (a.a.circuit_key(), a.b.circuit_key()))
+        arcs = sorted(set(subject), key=arc_key)
         if arcs:
             surface = arcs[0].surface
         elif surface is None:
@@ -138,11 +126,10 @@ def render_svg(
         arcs = [a for a in arcs if a.a in window.points and a.b in window.points]
         trunc_gaps = []
 
-    lay = _Layout(window, spec.size)
+    lay = _Layout(window)
     hl = set(spec.highlight)
-    size = spec.size
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
         f'<circle class="boundary" cx="{_fmt(lay.cx)}" cy="{_fmt(lay.cy)}" r="{_fmt(lay.r)}" fill="none" stroke="#999" stroke-width="2"/>',
     ]
     for a in arcs:

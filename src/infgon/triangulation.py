@@ -16,17 +16,21 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .affine import (
+    EMPTY_RANGE,
     FULL_RANGE,
     IntRange,
     LinIneq,
     SymPoint,
     conjunction_model,
     cross_conjunctions,
+    orient_conjunctions,
+    range_ineqs,
     solve_1var_range,
     sym_eq_atoms,
 )
-from .arcs import Arc, format_arc, parse_arc
-from .surface import Point, Surface, format_point, parse_point, parse_surface
+from .arcs import Arc, arc_key, format_arc, parse_arc
+from .homs import open_interval_segments
+from .surface import Point, Surface, adjacent, format_point, parse_point, parse_surface
 
 
 class TriangulationError(ValueError):
@@ -231,6 +235,29 @@ def crossing_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same:
     return None
 
 
+def ext_param_ranges(fam: Family, g: Arc) -> list[IntRange]:
+    """Parameter ranges of the instances of ``fam`` carrying an extension with ``g``.
+
+    An instance qualifies when it crosses ``g``, or when it meets ``g``
+    clockwise at a shared accumulation endpoint.  One range is returned per
+    satisfiable conjunction, so ranges may overlap.
+    """
+    dnf = cross_conjunctions(_gen_sym_pair(fam, 0), (_sym_fixed(g.a), _sym_fixed(g.b)))
+    p = fam.fixed_endpoint
+    if p is not None and p.pos is None and g.has_endpoint(p):
+        moving = _sym_endpoint(fam.moving_endpoints[0], 0)
+        dnf += orient_conjunctions(_sym_fixed(p), _sym_fixed(g.other_endpoint(p)), moving)
+    bounds = [(q.a, q.c) for q in range_ineqs(fam.domain, 0)]
+    ranges: list[IntRange] = []
+    for conj in dnf:
+        if any(atom is False for atom in conj):
+            continue
+        r = solve_1var_range([(atom.a, atom.c) for atom in conj if atom is not True] + bounds)
+        if r is not None:
+            ranges.append(r)
+    return ranges
+
+
 def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator) -> Optional[Arc]:
     pair_a = _gen_sym_pair(gen_a, 0)
     pair_b = _gen_sym_pair(gen_b, 1)
@@ -317,7 +344,7 @@ class Triangulation:
             if isinstance(gen, Single):
                 if gen.arc == arc:
                     return True
-            elif _family_param_of(self.surface, gen, arc) is not None:
+            elif family_param_of(self.surface, gen, arc) is not None:
                 return True
         return False
 
@@ -329,19 +356,11 @@ class Triangulation:
                 if gen.arc.a in pts and gen.arc.b in pts:
                     out.add(gen.arc)
                 continue
-            params: Optional[IntRange] = gen.domain
-            for e in (gen.e0, gen.e1):
-                if params is None or params.is_empty:
-                    break
-                if isinstance(e, Moving):
-                    positions = sorted(p.pos for p in pts if p.interval == e.interval and p.pos is not None)
-                    if not positions:
-                        params = None
-                        break
-                    params = params.intersect(e.params_with_pos_in(positions[0], positions[-1]))
-                elif e not in pts:
-                    params = None
-            if params is None or params.is_empty:
+            fixed = gen.fixed_endpoint
+            if fixed is not None and fixed not in pts:
+                continue
+            params = visible_params(gen, window)
+            if params.is_empty:
                 continue
             if not params.is_bounded:
                 raise ResourceLimitError("family visible infinitely often in a finite window")
@@ -355,7 +374,20 @@ class Triangulation:
         return Triangulation(self.surface, self.generators, certificate)
 
 
-def _family_param_of(surface: Surface, fam: Family, arc: Arc) -> Optional[int]:
+def visible_params(fam: Family, window: Window) -> IntRange:
+    """Parameters at which every moving endpoint of ``fam`` lies within the
+    window's position span on its interval; fixed endpoints are not checked."""
+    params = fam.domain
+    for e in fam.moving_endpoints:
+        positions = [p.pos for p in window.points if p.interval == e.interval and p.pos is not None]
+        if not positions:
+            return EMPTY_RANGE
+        params = params.intersect(e.params_with_pos_in(min(positions), max(positions)))
+    return params
+
+
+def family_param_of(surface: Surface, fam: Family, arc: Arc) -> Optional[int]:
+    """The parameter at which ``fam`` instantiates to ``arc``, or None."""
     def match(e: Endpoint, p: Point):
         if isinstance(e, Moving):
             if p.pos is None or p.interval != e.interval:
@@ -404,6 +436,13 @@ def validate_non_crossing(t: Triangulation) -> NonCrossingReport:
     return NonCrossingReport(True)
 
 
+def _require_non_crossing(t: Triangulation) -> Triangulation:
+    report = validate_non_crossing(t)
+    if not report.ok:
+        raise CrossingError(*report.witness)
+    return t
+
+
 def arc_crossing_in(t: Triangulation, arc: Arc) -> Optional[Arc]:
     """Some instance of t crossing the given arc, or None."""
     for gen in t.generators:
@@ -437,11 +476,7 @@ def build_fountain(surface: Surface, base: Point) -> Triangulation:
             gens.append(Family(base, Moving(j, 0, 1), FULL_RANGE))
             if j != base.interval:
                 gens.append(Single(Arc(base, Point(surface, j, None))))
-    t = Triangulation(surface, tuple(gens), CERTIFIED_MAXIMAL)
-    report = validate_non_crossing(t)
-    if not report.ok:
-        raise CrossingError(*report.witness)
-    return t
+    return _require_non_crossing(Triangulation(surface, tuple(gens), CERTIFIED_MAXIMAL))
 
 
 def _escape(m: Moving, direction: int, n: int) -> tuple[int, bool]:
@@ -560,9 +595,7 @@ def build_zigzag_leapfrog(
     witness = _pair_leapfrog(surface, alpha, beta)
     if witness is None:
         raise LeapfrogError("chain is finite or degenerates to a scallop run; not an infinite leapfrog")
-    report = validate_non_crossing(t)
-    if not report.ok:
-        raise CrossingError(*report.witness)
+    _require_non_crossing(t)
     bound = 2 + max(
         (abs(e.base) for g in (alpha, beta) for e in (g.e0, g.e1) if isinstance(e, Moving)),
         default=0,
@@ -659,11 +692,8 @@ def window_check(t: Triangulation, w: Window) -> bool:
 
 def from_window_set(w: Window, arcs: Iterable[Arc]) -> Triangulation:
     """Package a maximal window arc set as a window-checked triangulation."""
-    gens = tuple(Single(a) for a in sorted(set(arcs), key=lambda a: (a.a.circuit_key(), a.b.circuit_key())))
-    t = Triangulation(w.surface, gens, Certificate(CertificateStatus.WINDOW_CHECKED, w))
-    report = validate_non_crossing(t)
-    if not report.ok:
-        raise CrossingError(*report.witness)
+    gens = tuple(Single(a) for a in sorted(set(arcs), key=arc_key))
+    t = _require_non_crossing(Triangulation(w.surface, gens, Certificate(CertificateStatus.WINDOW_CHECKED, w)))
     if not window_check(t, w):
         raise TriangulationError("arc set is not maximal within its window")
     return t
@@ -693,8 +723,6 @@ def limit_of_family(surface: Surface, fam: Family, end: int | None = None) -> Fa
     from the fixed endpoint p to q, degenerating when p == q or when the
     two are adjacent.
     """
-    from .surface import adjacent as _adjacent
-
     if not surface.completed:
         raise ValueError("limits of families exist on completed surfaces only")
     p = fam.fixed_endpoint
@@ -721,7 +749,7 @@ def limit_of_family(surface: Surface, fam: Family, end: int | None = None) -> Fa
     q = Point(surface, gap, None)
     if p == q:
         return FamilyLimit(LimitKind.ACCUMULATION_POINT, point=q)
-    if _adjacent(p, q):
+    if adjacent(p, q):
         return FamilyLimit(LimitKind.BOUNDARY_SEGMENT)
     return FamilyLimit(LimitKind.ARC, arc=Arc(p, q))
 
@@ -853,8 +881,6 @@ def neighbor_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> Neig
             empty=rscan.empty,
         )
 
-    from .homs import open_interval_segments
-
     other = a.other_endpoint(endpoint)
     segs = open_interval_segments(endpoint, other)
     raw_singles, raw_progs = _partners(t, endpoint)
@@ -967,4 +993,7 @@ def triangulation_from_json(doc: dict) -> Triangulation:
     elif isinstance(spec, dict) and "window" in spec:
         pts = tuple(parse_point(surface, s) for s in spec["window"])
         cert = Certificate(CertificateStatus.WINDOW_CHECKED, Window(surface, pts))
-    return Triangulation(surface, tuple(gens), cert)
+    t = Triangulation(surface, tuple(gens), cert)
+    # a file's certificate is a claim from outside: at least re-check that
+    # the arcs it certifies do not cross
+    return t if cert is UNVERIFIED else _require_non_crossing(t)

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import surface_and_arcs
+from conftest import all_window_arcs, surface_and_arcs
 from infgon.arcs import (
     Arc,
     ArcClass,
+    arc_key,
     canonical_lift,
     classify,
     cross_transverse,
@@ -44,6 +45,10 @@ def test_arc_validation():
         Arc(C1.point(1, 0), C1.point(1, 1))
     a = Arc(C1.point(1, 5), C1.point(1, 0))
     assert a.a == C1.point(1, 0)  # normalized endpoint order
+    for surface in (C2, U2):
+        # point pairs enumerated in circuit order come out in arc_key order
+        arcs = all_window_arcs(surface, 3)
+        assert sorted(reversed(arcs), key=arc_key) == arcs
 
 
 def test_cross_examples():

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from infgon.acceptance import is_weak_ct
 from infgon.cli import main
+from infgon.surface import Surface
+from infgon.triangulation import Window, window_arcs, window_brute_force
 
 
 def run(capsys, *argv):
@@ -70,6 +73,28 @@ def test_validate_and_exit_codes(tmp_path, capsys):
     code, payload = run_json(capsys, "validate", "--triangulation", str(path2))
     assert (code, payload["ok"]) == (0, True)
 
+    # bad input exits 2 with a message, never 1 with a traceback: a file whose
+    # certificate covers crossing arcs, and files that are no triangulation
+    claimed = tmp_path / "crossing_maximal.json"
+    claimed.write_text(json.dumps({**doc, "certificate": "maximal"}))
+    no_surface = tmp_path / "no_surface.json"
+    no_surface.write_text(json.dumps({"generators": []}))
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[]")
+    for bad, verb, named in (
+        (claimed, "validate", "arcs cross: 1:0-1:2 and 1:1-1:3"),
+        (claimed, "approx-object", "arcs cross: 1:0-1:2 and 1:1-1:3"),
+        (no_surface, "validate", "missing field 'surface'"),
+        (a_list, "validate", str(a_list)),
+        (tmp_path, "validate", str(tmp_path)),
+    ):
+        extra = ["--arc", "1:-2-1:2"] if verb == "approx-object" else []
+        code = main([verb, "--triangulation", str(bad), *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", bad
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err
+
 
 def test_flip_roundtrip_through_files(tmp_path, capsys):
     out_path = tmp_path / "flipped.json"
@@ -85,10 +110,17 @@ def test_flip_roundtrip_through_files(tmp_path, capsys):
 
 
 def test_window_ct_verb(capsys):
-    code, payload = run_json(capsys, "window-ct", "--surface", "completed:1", "--bound", "2")
-    assert code == 0
-    assert payload["match"] is True
-    assert payload["maximal_non_crossing"] == payload["weak_cluster_tilting"]
+    for bound in (1, 2, 3):
+        code, payload = run_json(capsys, "window-ct", "--surface", "completed:1", "--bound", str(bound))
+        assert code == 0
+        assert payload["match"] is True
+        assert payload["maximal_non_crossing"] == payload["weak_cluster_tilting"]
+        window = Window.symmetric(Surface(True, 1), bound)
+        arcs = window_arcs(window)
+        sets = window_brute_force(window)
+        assert sum(is_weak_ct(arcs, T) for T in sets) == payload["weak_cluster_tilting"]
+        # dropping an arc leaves a set that is no longer weak cluster-tilting
+        assert not any(is_weak_ct(arcs, T - {next(iter(T))}) for T in sets)
 
 
 def test_leapfrog_and_approx_object(capsys):
