@@ -2,7 +2,8 @@
 
 Structured JSON goes to stdout (sorted keys, so repeated runs are byte
 identical); ``--pretty`` switches to aligned key/value lines.  Exit codes:
-0 success, 1 verification failure, 2 usage or parse error.
+0 success, 1 verification failure, 2 usage or parse error or a query over
+a resource limit.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .triangulation import (
     IntRange,
     Family,
     Moving,
+    ResourceLimitError,
     Side,
     Triangulation,
     Window,
@@ -442,7 +444,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.run(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,8 +2,10 @@
 
 A triangulation is stored as a list of generators: single arcs plus affine
 families whose endpoints move along one interval with a fixed stride.  That
-vocabulary covers fountains, fans, split fans and zigzag ladders, and every
-pairwise predicate (crossing, duplication, membership) reduces to integer
+vocabulary covers fountains, fans, split fans and zigzag ladders.  Two
+single arcs are compared directly: they cross when their circuit keys
+interleave and coincide when they are equal.  Every pairwise predicate
+involving a family (crossing, duplication, membership) reduces to integer
 linear feasibility in the family parameters, decided exactly by
 :mod:`infgon.affine`.
 """
@@ -28,7 +30,7 @@ from .affine import (
     solve_1var_range,
     sym_eq_atoms,
 )
-from .arcs import Arc, arc_key, format_arc, parse_arc
+from .arcs import Arc, arc_key, cross_transverse, format_arc, parse_arc
 from .homs import open_interval_segments
 from .surface import Point, Surface, adjacent, format_point, parse_point, parse_surface
 
@@ -223,13 +225,17 @@ def crossing_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same:
     """A crossing pair of instances of the two generators, or None.
 
     ``same`` restricts to distinct instances (i < j) of one generator passed
-    twice.
+    twice.  Two fixed arcs are decided directly by interleaving of their
+    circuit keys, which is what the symbolic DNF encodes for them.
     """
+    if isinstance(gen_a, Single) and isinstance(gen_b, Single):
+        return (gen_a.arc, gen_b.arc) if cross_transverse(gen_a.arc, gen_b.arc) else None
     pair_a = _gen_sym_pair(gen_a, 0)
     pair_b = _gen_sym_pair(gen_b, 1)
+    dom_a, dom_b = _gen_domain(gen_a), _gen_domain(gen_b)
     extra = (LinIneq(-1, 1, -1),) if same else ()
     for conj in cross_conjunctions(pair_a, pair_b):
-        m = conjunction_model(conj, _gen_domain(gen_a), _gen_domain(gen_b), extra)
+        m = conjunction_model(conj, dom_a, dom_b, extra)
         if m is not None:
             return (_instantiate(surface, gen_a, m[0]), _instantiate(surface, gen_b, m[1]))
     return None
@@ -259,14 +265,18 @@ def ext_param_ranges(fam: Family, g: Arc) -> list[IntRange]:
 
 
 def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator) -> Optional[Arc]:
+    """An arc instantiated by both generators, or None; two fixed arcs are compared directly."""
+    if isinstance(gen_a, Single) and isinstance(gen_b, Single):
+        return gen_a.arc if gen_a.arc == gen_b.arc else None
     pair_a = _gen_sym_pair(gen_a, 0)
     pair_b = _gen_sym_pair(gen_b, 1)
+    dom_a, dom_b = _gen_domain(gen_a), _gen_domain(gen_b)
     for (b0, b1) in ((pair_b[0], pair_b[1]), (pair_b[1], pair_b[0])):
         atoms0 = sym_eq_atoms(pair_a[0], b0)
         atoms1 = sym_eq_atoms(pair_a[1], b1)
         if atoms0 is False or atoms1 is False:
             continue
-        m = conjunction_model(atoms0 + atoms1, _gen_domain(gen_a), _gen_domain(gen_b))
+        m = conjunction_model(atoms0 + atoms1, dom_a, dom_b)
         if m is not None:
             return _instantiate(surface, gen_a, m[0])
     return None

@@ -121,6 +121,14 @@ def test_window_ct_verb(capsys):
         assert sum(is_weak_ct(arcs, T) for T in sets) == payload["weak_cluster_tilting"]
         # dropping an arc leaves a set that is no longer weak cluster-tilting
         assert not any(is_weak_ct(arcs, T - {next(iter(T))}) for T in sets)
+    # windows over the point limit are refused as bad input, not as a failed check
+    for surface, points in (("completed:2", 16), ("uncompleted:2", 14)):
+        code = main(["window-ct", "--surface", surface, "--bound", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"window has {points} points, limit is 12" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_leapfrog_and_approx_object(capsys):

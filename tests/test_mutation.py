@@ -2,7 +2,7 @@
 
 import pytest
 
-from infgon.arcs import Arc, parse_arc, shift_arc
+from infgon.arcs import Arc, arc_key, parse_arc, shift_arc
 from infgon.homs import ext_dim, hom_dim
 from infgon.mutation import (
     UNDEFINED,
@@ -68,6 +68,36 @@ def test_quad_frame_square_window():
     assert f.u_right == f.v_left == C1.point(1, 3)
     assert is_mutable(t, diag)
     assert flip(t, diag).new_arc == parse_arc(C1, "1:1-1:3")
+
+
+def test_single_generators_never_reach_the_solver(monkeypatch):
+    """Pairs of fixed arcs are decided without the symbolic solver, while a
+    flip still checks every pair of the new triangulation."""
+    import infgon.triangulation as tri
+
+    calls = {"solver": 0, "pairs": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tri, "conjunction_model", counting("solver", tri.conjunction_model))
+    monkeypatch.setattr(tri, "crossing_witness", counting("pairs", tri.crossing_witness))
+    w = Window.of_points([C1.point(1, i) for i in range(-4, 4)] + [C1.point(1, None)])
+    assert len(w.points) == 9
+    T = window_brute_force(w)[0]
+    t = from_window_set(w, T)
+    a = next(a for a in sorted(T, key=arc_key) if is_mutable(t, a))
+    calls["pairs"] = 0
+    res = flip(t, a)
+    n = len(res.new_triangulation.generators)
+    assert calls["pairs"] >= n * (n - 1) // 2
+    back = flip(res.new_triangulation, res.new_arc)
+    assert back.new_arc == a
+    assert {g.arc for g in back.new_triangulation.generators} == set(T)
+    assert calls["solver"] == 0
 
 
 def test_approximate_fountain():

@@ -2,10 +2,12 @@
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from infgon.arcs import cross_transverse
+from conftest import arcs_on
+from infgon.arcs import Arc, cross_transverse
 from infgon.surface import Point, Surface
 from infgon.triangulation import (
     Family,
@@ -14,14 +16,21 @@ from infgon.triangulation import (
     Single,
     Triangulation,
     TriangulationError,
+    Window,
     crossing_witness,
     duplicate_witness,
     validate_non_crossing,
+    window_arcs,
 )
 
 
 @st.composite
-def bounded_families(draw, surface: Surface):
+def bounded_families(draw, surface: Surface, singles: bool = False):
+    """A family over a domain of at most five parameters, or with
+    ``singles`` sometimes a single arc."""
+    if singles and draw(st.integers(0, 3)) == 0:
+        return Single(draw(arcs_on(surface, 6)))
+
     def endpoint(moving: bool):
         k = draw(st.integers(1, surface.intervals))
         if moving:
@@ -49,7 +58,7 @@ def test_validate_non_crossing_matches_brute_force(data):
     surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 2)]))
     gens = []
     for _ in range(data.draw(st.integers(1, 3))):
-        gens.append(data.draw(bounded_families(surface)))
+        gens.append(data.draw(bounded_families(surface, singles=True)))
     try:
         t = Triangulation(surface, tuple(gens))
     except TriangulationError:
@@ -121,3 +130,29 @@ def test_membership_matches_brute_force(data):
     except ValueError:
         return
     assert t.contains(outside) == (outside in arcs)
+
+
+def symbolic_twin(arc: Arc):
+    """The one-instance family equal to ``arc``, moving at its first regular
+    endpoint; an arc between two accumulation points has none and stays single."""
+    if arc.a.pos is not None:
+        return Family(Moving(arc.a.interval, arc.a.pos, 1), arc.b, IntRange(0, 0))
+    if arc.b.pos is not None:
+        return Family(arc.a, Moving(arc.b.interval, arc.b.pos, 1), IntRange(0, 0))
+    return Single(arc)
+
+
+@pytest.mark.parametrize("surface, bound", [(Surface(True, 1), 4), (Surface(True, 2), 2), (Surface(False, 2), 2)])
+def test_single_pairs_match_their_symbolic_twins(surface, bound):
+    """Fixed arcs are decided directly; their one-instance twins go through
+    the solver.  Both routes must give the same answer and the same witness
+    on every ordered pair of window arcs."""
+    arcs = window_arcs(Window.symmetric(surface, bound))
+    twins = {a: symbolic_twin(a) for a in arcs}
+    for a, b in itertools.product(arcs, repeat=2):
+        crossing = crossing_witness(surface, Single(a), Single(b))
+        assert crossing == ((a, b) if cross_transverse(a, b) else None)
+        assert crossing_witness(surface, twins[a], twins[b]) == crossing
+        duplicate = duplicate_witness(surface, Single(a), Single(b))
+        assert duplicate == (a if a == b else None)
+        assert duplicate_witness(surface, twins[a], twins[b]) == duplicate
