@@ -32,7 +32,7 @@ from .affine import (
 )
 from .arcs import Arc, arc_key, cross_transverse, format_arc, parse_arc
 from .homs import open_interval_segments
-from .surface import Point, Surface, adjacent, format_point, parse_point, parse_surface
+from .surface import MixedSurfaceError, Point, Surface, adjacent, format_point, parse_point, parse_surface
 
 
 class TriangulationError(ValueError):
@@ -282,12 +282,6 @@ def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator) -> O
     return None
 
 
-def arc_crosses_generator(surface: Surface, arc: Arc, gen: Generator) -> Optional[Arc]:
-    """An instance of ``gen`` crossing ``arc``, or None."""
-    hit = crossing_witness(surface, Single(arc), gen)
-    return None if hit is None else hit[1]
-
-
 def _invalid_family_param(surface: Surface, fam: Family) -> Optional[int]:
     """A parameter whose instance has equal or adjacent endpoints, if any."""
     e0, e1 = fam.e0, fam.e1
@@ -455,10 +449,12 @@ def _require_non_crossing(t: Triangulation) -> Triangulation:
 
 def arc_crossing_in(t: Triangulation, arc: Arc) -> Optional[Arc]:
     """Some instance of t crossing the given arc, or None."""
+    if arc.surface != t.surface:
+        raise MixedSurfaceError("query arc on the wrong surface")
     for gen in t.generators:
-        hit = arc_crosses_generator(t.surface, arc, gen)
+        hit = crossing_witness(t.surface, Single(arc), gen)
         if hit is not None:
-            return hit
+            return hit[1]
     return None
 
 
@@ -790,8 +786,8 @@ def _reverse_generator(gen: Generator, n: int) -> Generator:
     return Family(e0, e1, gen.domain)
 
 
-@lru_cache(maxsize=None)
 def reverse_triangulation(t: Triangulation) -> Triangulation:
+    """The mirror image of t; its left scans are the right scans of t, reversed."""
     n = t.surface.intervals
     return Triangulation(t.surface, tuple(_reverse_generator(g, n) for g in t.generators))
 
@@ -819,9 +815,6 @@ class Progression:
         if params.is_empty:
             return None
         return Progression(self.interval, self.base, self.stride, params)
-
-    def reverse(self, n: int) -> "Progression":
-        return Progression(n + 1 - self.interval, -self.base, -self.stride, self.domain)
 
 
 @dataclass(frozen=True)
@@ -869,30 +862,19 @@ def _partners(t: Triangulation, e: Point) -> tuple[list[Point], list[Progression
 def neighbor_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> NeighborScan:
     """Partner points w of arcs {endpoint, w} in t lying on the given side of a.
 
-    The left side at an endpoint e is the open boundary interval from e to
-    the far endpoint; the right side is its complement.  Right scans are
-    computed as left scans of the orientation-reversed picture.
+    At an endpoint e of a = {e, o} the left side is the open boundary
+    interval walked anticlockwise from e to o, and the right side is the
+    complementary open interval walked clockwise from e to o.  Partners are
+    listed in that walking order.  The extremum is the partner nearest o:
+    the largest position on the left, the smallest on the right.
     """
     if not t.contains(a):
         raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
     if not a.has_endpoint(endpoint):
         raise ValueError("scan endpoint must belong to the arc")
-    if side is Side.RIGHT:
-        rt = reverse_triangulation(t)
-        rscan = neighbor_scan(rt, reverse_arc(a), reverse_point(endpoint), Side.LEFT)
-        n = t.surface.intervals
-        return NeighborScan(
-            arc=a,
-            endpoint=endpoint,
-            side=Side.RIGHT,
-            singles=tuple(reverse_point(p) for p in rscan.singles),
-            progressions=tuple(pr.reverse(n) for pr in rscan.progressions),
-            extremum=None if rscan.extremum is None else reverse_point(rscan.extremum),
-            empty=rscan.empty,
-        )
-
     other = a.other_endpoint(endpoint)
-    segs = open_interval_segments(endpoint, other)
+    left = side is Side.LEFT
+    segs = open_interval_segments(endpoint, other) if left else open_interval_segments(other, endpoint)[::-1]
     raw_singles, raw_progs = _partners(t, endpoint)
 
     kept_singles: list[Point] = []
@@ -922,22 +904,19 @@ def neighbor_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> Neig
             break
         if not poss and not clipped:
             continue
-        top: Optional[int] = max(poss) if poss else None
-        unbounded = False
+        bounds = list(poss)
         for pr in clipped:
             r = pr.position_range()
-            if r.hi is None:
-                unbounded = True
-                break
-            top = r.hi if top is None else max(top, r.hi)
-        if unbounded:
-            extremum = None
+            bound = r.hi if left else r.lo
+            if bound is None:
+                break  # the progression runs on towards o: no extremum
+            bounds.append(bound)
         else:
-            extremum = Point(t.surface, seg[1], top)
+            extremum = Point(t.surface, seg[1], max(bounds) if left else min(bounds))
         break
 
     empty = not kept_singles and not kept_progs
-    return NeighborScan(a, endpoint, Side.LEFT, tuple(kept_singles), tuple(kept_progs), extremum, empty)
+    return NeighborScan(a, endpoint, side, tuple(kept_singles), tuple(kept_progs), extremum, empty)
 
 
 # --- JSON round trip ----------------------------------------------------------

@@ -109,6 +109,20 @@ def test_flip_roundtrip_through_files(tmp_path, capsys):
     assert payload["u_left"] == "1:5" and payload["v_right"] == "1:5"
 
 
+def test_approx_verb(capsys):
+    f2 = "fountain(completed:2,2:1)"
+    cases = (
+        (f2, "2:1-a2", "right", '{"exists": false, "reason": "NoExtremum", "witness": ["a1", "2:-1-1t", "1:0+1t"]}'),
+        (f2, "2:1-a1", "left", '{"exists": false, "reason": "NoExtremum", "witness": ["a2", "2:3+1t", "1:0+1t"]}'),
+        ("zigzag(completed:1)", "1:-1-1:1", "right", '{"exists": true, "summands": ["1:-1-1:2"]}'),
+        ("zigzag(completed:1)", "1:-1-1:1", "left", '{"exists": true, "summands": []}'),
+        ("fountain(completed:1,1:0)", "1:0-1:5", "right", '{"exists": true, "summands": ["1:0-1:6"]}'),
+    )
+    for subject, arc, side, expected in cases:
+        code, out = run(capsys, "approx", "--triangulation", subject, "--arc", arc, "--side", side)
+        assert (code, out) == (0, expected)
+
+
 def test_window_ct_verb(capsys):
     for bound in (1, 2, 3):
         code, payload = run_json(capsys, "window-ct", "--surface", "completed:1", "--bound", str(bound))

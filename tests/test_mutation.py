@@ -100,6 +100,31 @@ def test_single_generators_never_reach_the_solver(monkeypatch):
     assert calls["solver"] == 0
 
 
+def test_scans_never_build_the_mirror_image(monkeypatch):
+    """Right scans read the triangulation they are given; no reversed copy is built."""
+    import infgon.triangulation as tri
+
+    def refuse(t):
+        raise AssertionError("reverse_triangulation called")
+
+    monkeypatch.setattr(tri, "reverse_triangulation", refuse)
+    w = Window.of_points([C1.point(1, i) for i in range(-4, 4)] + [C1.point(1, None)])
+    T = window_brute_force(w)[0]
+    window_t = from_window_set(w, T)
+    cases = [
+        (window_t, next(a for a in sorted(T, key=arc_key) if is_mutable(window_t, a))),
+        (build_fountain(C2, C2.point(2, 1)), parse_arc(C2, "2:1-2:3")),
+    ]
+    for t, a in cases:
+        f = quad_frame(t, a)
+        assert UNDEFINED not in f.entries()
+        for side in (Side.LEFT, Side.RIGHT):
+            assert approximate(t, a, side).exists
+        res = flip(t, a)
+        back = flip(res.new_triangulation, res.new_arc)
+        assert back.new_arc == a and back.new_triangulation.contains(a)
+
+
 def test_approximate_fountain():
     t = fountain1()
     res = approximate(t, parse_arc(C1, "1:0-a1"), Side.LEFT)

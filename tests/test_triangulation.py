@@ -5,7 +5,7 @@ import json
 import pytest
 
 from infgon.arcs import Arc, cross_transverse, parse_arc
-from infgon.surface import Point, Surface
+from infgon.surface import MixedSurfaceError, Point, Surface
 from infgon.triangulation import (
     CertificateStatus,
     CrossingError,
@@ -21,6 +21,7 @@ from infgon.triangulation import (
     Triangulation,
     TriangulationError,
     Window,
+    arc_crossing_in,
     build_fountain,
     build_zigzag_leapfrog,
     canonical_zigzag,
@@ -209,16 +210,51 @@ def test_scan_extremum_arc_is_in_triangulation():
                 assert t.contains(Arc(e, scan.extremum))
 
 
+def _reference_cases():
+    """Certified and window-checked triangulations, each with the arcs to scan."""
+    for n in (1, 2, 3):
+        s = Surface(True, n)
+        w = Window.symmetric(s, 3)
+        for base in w.points:
+            t = build_fountain(s, base)
+            yield t, t.arcs_in_window(w)
+    z = canonical_zigzag(C1)
+    yield z, z.arcs_in_window(Window.symmetric(C1, 4))
+    for s in (C2, Surface(False, 2)):
+        w = Window.symmetric(s, 1)
+        for arcs in window_brute_force(w):
+            yield from_window_set(w, arcs), arcs
+
+
 def test_right_scan_is_reversed_left_scan():
-    t = build_fountain(C2, C2.point(1, 0))
-    a = parse_arc(C2, "1:0-2:3")
-    for e in a.endpoints:
-        right = neighbor_scan(t, a, e, Side.RIGHT)
+    """Right scans, read directly, equal left scans of the mirror image mapped back."""
+    scans = 0
+    for t, arcs in _reference_cases():
+        n = t.surface.intervals
         rt = reverse_triangulation(t)
-        left = neighbor_scan(rt, reverse_arc(a), reverse_point(e), Side.LEFT)
-        got = None if left.extremum is None else reverse_point(left.extremum)
-        assert right.extremum == got
-        assert right.empty == left.empty
+        for a in arcs:
+            for e in a.endpoints:
+                right = neighbor_scan(t, a, e, Side.RIGHT)
+                left = neighbor_scan(rt, reverse_arc(a), reverse_point(e), Side.LEFT)
+                assert right.singles == tuple(reverse_point(p) for p in left.singles)
+                assert [(pr.interval, pr.base, pr.stride, pr.domain) for pr in right.progressions] == [
+                    (n + 1 - pr.interval, -pr.base, -pr.stride, pr.domain) for pr in left.progressions
+                ]
+                assert right.extremum == (None if left.extremum is None else reverse_point(left.extremum))
+                assert right.empty == left.empty
+                scans += 1
+    assert scans > 3000
+
+
+def test_window_check_rejects_another_surface():
+    w = Window.symmetric(C2, 1)
+    arc = parse_arc(C2, "1:0-2:0")
+    # the fountain has Single generators, the zigzag only families
+    for t in (fountain1(), canonical_zigzag(C1)):
+        with pytest.raises(MixedSurfaceError):
+            window_check(t, w)
+        with pytest.raises(MixedSurfaceError):
+            arc_crossing_in(t, arc)
 
 
 def test_reversal_is_an_involution():
