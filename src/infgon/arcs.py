@@ -16,7 +16,6 @@ from .surface import (
     MixedSurfaceError,
     Point,
     Surface,
-    _orient,
     adjacent,
     format_point,
     parse_point,
@@ -27,13 +26,15 @@ class Arc:
     """Unordered pair of distinct, non-adjacent points on one surface.
 
     Endpoints are stored in circuit-key order so equal arcs compare and hash
-    equal structurally.
+    equal structurally.  The arc carries the circuit keys of its endpoints,
+    ``ka`` of ``a`` and ``kb`` of ``b`` with ``ka < kb``, so crossing and
+    ordering questions read them instead of recomputing them.
     """
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("a", "b", "ka", "kb", "_hash")
 
     def __init__(self, p: Point, q: Point):
-        if p.surface != q.surface:
+        if p.surface is not q.surface:
             raise MixedSurfaceError(
                 f"arc endpoints on {p.surface.describe()} and {q.surface.describe()}"
             )
@@ -43,10 +44,13 @@ class Arc:
             raise ValueError(
                 f"arc endpoints must not be adjacent, got {format_point(p)}-{format_point(q)}"
             )
-        if q.circuit_key() < p.circuit_key():
-            p, q = q, p
+        kp, kq = p.circuit_key(), q.circuit_key()
+        if kq < kp:
+            p, q, kp, kq = q, p, kq, kp
         object.__setattr__(self, "a", p)
         object.__setattr__(self, "b", q)
+        object.__setattr__(self, "ka", kp)
+        object.__setattr__(self, "kb", kq)
         object.__setattr__(self, "_hash", hash((p, q)))
 
     def __setattr__(self, name: str, value) -> None:
@@ -70,9 +74,6 @@ class Arc:
     def has_endpoint(self, p: Point) -> bool:
         return p == self.a or p == self.b
 
-    def shares_endpoint(self, other: "Arc") -> bool:
-        return self.has_endpoint(other.a) or self.has_endpoint(other.b)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Arc) and self.a == other.a and self.b == other.b
 
@@ -85,7 +86,7 @@ class Arc:
 
 def arc_key(g: Arc) -> tuple:
     """Canonical sort key: the circuit keys of the two endpoints, in order."""
-    return (g.a.circuit_key(), g.b.circuit_key())
+    return (g.ka, g.kb)
 
 
 class ArcClass(Enum):
@@ -103,14 +104,15 @@ class ArcClass(Enum):
 
 
 def cross_transverse(g: Arc, d: Arc) -> bool:
-    """True iff the endpoints of g and d strictly interleave around the circle."""
-    if g.surface != d.surface:
+    """True iff the endpoints of g and d strictly interleave around the circle.
+
+    Decided on the stored circuit keys.  A shared endpoint makes two keys
+    equal, which strict interleaving already excludes.
+    """
+    if g.surface is not d.surface:
         raise MixedSurfaceError("arcs on different surfaces")
-    if g.shares_endpoint(d):
-        return False
-    x, y = g.a.circuit_key(), g.b.circuit_key()
-    u, v = d.a.circuit_key(), d.b.circuit_key()
-    return _orient(x, u, y) != _orient(x, v, y)
+    x, y, u, v = g.ka, g.kb, d.ka, d.kb
+    return x < u < y < v or u < x < v < y
 
 
 def shift_arc(g: Arc, k: int) -> Arc:

@@ -127,7 +127,7 @@ def open_interval_segments(x: Point, y: Point) -> list[tuple]:
 
 def hom_dim(g: Arc, d: Arc) -> int:
     """Dimension (0 or 1) of the morphism space g -> d."""
-    if g.surface != d.surface:
+    if g.surface is not d.surface:
         raise MixedSurfaceError("arcs on different surfaces")
     if g.surface.completed:
         return 0 if ext_case(g, shift_arc(d, -1)) is ExtCase.NONE else 1
@@ -142,7 +142,7 @@ def ext_case(g: Arc, d: Arc) -> ExtCase:
     inside the disc, turns clockwise; that holds for at most one ordering.
     An arc with both endpoints at accumulation points extends itself.
     """
-    if g.surface != d.surface:
+    if g.surface is not d.surface:
         raise MixedSurfaceError("arcs on different surfaces")
     if not g.surface.completed:
         raise ValueError("ext_case applies to completed arcs")
@@ -169,7 +169,7 @@ def ext_ambient_dim(g: Arc, d: Arc) -> int:
 
 def ext_dim(g: Arc, d: Arc) -> int:
     """Restricted extension dimension between completed arcs: 1 iff they cross."""
-    if g.surface != d.surface:
+    if g.surface is not d.surface:
         raise MixedSurfaceError("arcs on different surfaces")
     if not g.surface.completed:
         raise ValueError("ext_dim applies to completed arcs")
@@ -274,7 +274,7 @@ def ext_dim_oracle(g: Arc, d: Arc, lift_g: Arc | None = None, lift_d: Arc | None
     lifted pair.  Optional explicit lifts override the canonical ones; the
     answer does not depend on the choice.
     """
-    if g.surface != d.surface:
+    if g.surface is not d.surface:
         raise MixedSurfaceError("arcs on different surfaces")
     if lift_g is not None and squeeze(lift_g) != g:
         raise ValueError("lift_g does not lie over g")

@@ -258,7 +258,7 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
     an unbounded fan with no limit arc in t, or an unbounded run of arcs
     with no common endpoint, means no finite generating set exists.
     """
-    if g.surface != t.surface:
+    if g.surface is not t.surface:
         raise MixedSurfaceError("query arc on the wrong surface")
     if t.certificate.status is not CertificateStatus.CERTIFIED_MAXIMAL:
         raise TriangulationError("module generators need a certified maximal triangulation")

@@ -11,12 +11,15 @@ Everything here is integer arithmetic.  Cyclic comparisons go through
 "circuit keys": interval k contributes key ``(2k - 1, pos)`` for its regular
 points and ``(2k, 0)`` for its accumulation point, so one anticlockwise
 circuit is exactly lexicographic key order.
+
+Surfaces are interned: ``Surface(completed, intervals)`` returns one shared
+object per distinct pair, so two surfaces are equal exactly when they are
+the same object, and code compares them with ``is``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
@@ -24,20 +27,48 @@ class MixedSurfaceError(ValueError):
     """An operation received points living on different surfaces."""
 
 
-@dataclass(frozen=True)
+# One Surface per (completed, intervals); one small object per distinct surface.
+_SURFACES: dict[tuple[bool, int], "Surface"] = {}
+
+
 class Surface:
     """Disc boundary with ``intervals`` marked intervals.
 
     ``completed`` selects whether the accumulation point closing each
-    interval is itself a marked point.
+    interval is itself a marked point.  Instances are interned and
+    immutable: equal surfaces are the same object, equality is identity,
+    and the hash is that of ``(completed, intervals)``.
     """
+
+    __slots__ = ("completed", "intervals", "_hash")
 
     completed: bool
     intervals: int
 
-    def __post_init__(self) -> None:
-        if self.intervals < 1:
-            raise ValueError(f"surface needs at least one interval, got {self.intervals}")
+    def __new__(cls, completed: bool, intervals: int) -> "Surface":
+        key = (bool(completed), intervals)
+        surface = _SURFACES.get(key)
+        if surface is not None:
+            return surface
+        if intervals < 1:
+            raise ValueError(f"surface needs at least one interval, got {intervals}")
+        surface = object.__new__(cls)
+        object.__setattr__(surface, "completed", key[0])
+        object.__setattr__(surface, "intervals", intervals)
+        object.__setattr__(surface, "_hash", hash(key))
+        return _SURFACES.setdefault(key, surface)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("surfaces are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("surfaces are immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Surface, (self.completed, self.intervals))
 
     def point(self, interval: int, pos: int) -> "Point":
         return Point(self, interval, pos)
@@ -96,7 +127,7 @@ def _require_same_surface(points: Iterable[Point]) -> Surface:
     it = iter(points)
     first = next(it)
     for p in it:
-        if p.surface != first.surface:
+        if p.surface is not first.surface:
             raise MixedSurfaceError(f"points on {p.surface.describe()} and {first.surface.describe()}")
     return first.surface
 
@@ -111,11 +142,18 @@ def step(p: Point, direction: int) -> Point:
 
 
 def adjacent(p: Point, q: Point) -> bool:
-    """True iff p and q are distinct neighbours under the successor map."""
+    """True iff p and q are distinct neighbours under the successor map.
+
+    Accumulation points are fixed by the successor map, so neighbours are
+    regular points of one interval whose positions differ by one.
+    """
     _require_same_surface((p, q))
-    if p == q:
-        return False
-    return step(p, 1) == q or step(q, 1) == p
+    return (
+        p.pos is not None
+        and q.pos is not None
+        and p.interval == q.interval
+        and abs(p.pos - q.pos) == 1
+    )
 
 
 # Linear positions used inside one cut circuit.  The base point may be lifted

@@ -167,7 +167,7 @@ class Window:
         if len(set(self.points)) != len(self.points):
             raise ValueError("window points must be distinct")
         for p in self.points:
-            if p.surface != self.surface:
+            if p.surface is not self.surface:
                 raise ValueError("window points must live on the window surface")
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Point.circuit_key)))
 
@@ -322,14 +322,14 @@ class Triangulation:
     def __post_init__(self) -> None:
         for gen in self.generators:
             if isinstance(gen, Single):
-                if gen.arc.surface != self.surface:
+                if gen.arc.surface is not self.surface:
                     raise TriangulationError("generator arc on the wrong surface")
             else:
                 for e in (gen.e0, gen.e1):
                     if isinstance(e, Moving):
                         if not 1 <= e.interval <= self.surface.intervals:
                             raise TriangulationError(f"moving endpoint interval {e.interval} out of range")
-                    elif e.surface != self.surface:
+                    elif e.surface is not self.surface:
                         raise TriangulationError("fixed endpoint on the wrong surface")
                 bad = _invalid_family_param(self.surface, gen)
                 if bad is not None:
@@ -342,7 +342,7 @@ class Triangulation:
                     raise DuplicateArcError(f"arc {format_arc(dup)} appears in two generators")
 
     def contains(self, arc: Arc) -> bool:
-        if arc.surface != self.surface:
+        if arc.surface is not self.surface:
             return False
         for gen in self.generators:
             if isinstance(gen, Single):
@@ -449,7 +449,7 @@ def _require_non_crossing(t: Triangulation) -> Triangulation:
 
 def arc_crossing_in(t: Triangulation, arc: Arc) -> Optional[Arc]:
     """Some instance of t crossing the given arc, or None."""
-    if arc.surface != t.surface:
+    if arc.surface is not t.surface:
         raise MixedSurfaceError("query arc on the wrong surface")
     for gen in t.generators:
         hit = crossing_witness(t.surface, Single(arc), gen)
@@ -465,7 +465,7 @@ def build_fountain(surface: Surface, base: Point) -> Triangulation:
     """All arcs through one base point; maximal by construction."""
     if not surface.completed:
         raise ValueError("fountains are built on completed surfaces")
-    if base.surface != surface:
+    if base.surface is not surface:
         raise ValueError("base point on the wrong surface")
     gens: list[Generator] = []
     n = surface.intervals
@@ -663,7 +663,8 @@ def window_brute_force(w: Window) -> list[frozenset[Arc]]:
 
     Window arcs joining cyclically consecutive window points cross nothing
     and belong to every maximal set; the remaining choices are exactly the
-    triangulations of the convex polygon on the window points.
+    triangulations of the convex polygon on the window points.  Each
+    diagonal is built as one ``Arc`` shared by every set that holds it.
     """
     m = len(w.points)
     if m > WINDOW_POINT_LIMIT:
@@ -678,10 +679,11 @@ def window_brute_force(w: Window) -> list[frozenset[Arc]]:
             mandatory.add(Arc(pts[i], pts[j]))
         except ValueError:
             continue
+    diagonals = {(i, j): Arc(pts[i], pts[j]) for i in range(m) for j in range(i + 2, m)}
     out = []
     for diag_set in _polygon_diagonal_sets(m):
         arcs = set(mandatory)
-        arcs.update(Arc(pts[i], pts[j]) for i, j in diag_set)
+        arcs.update(diagonals[d] for d in diag_set)
         out.append(frozenset(arcs))
     return out
 
@@ -868,14 +870,19 @@ def neighbor_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> Neig
     listed in that walking order.  The extremum is the partner nearest o:
     the largest position on the left, the smallest on the right.
     """
-    if not t.contains(a):
-        raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
     if not a.has_endpoint(endpoint):
         raise ValueError("scan endpoint must belong to the arc")
     other = a.other_endpoint(endpoint)
+    raw_singles, raw_progs = _partners(t, endpoint) if a.surface is t.surface else ([], [])
+    # a is in t exactly when other is one of the partners at endpoint.
+    if other not in raw_singles and not (
+        other.pos is not None
+        and any(pr.interval == other.interval and pr.clip_positions(other.pos, other.pos) is not None
+                for pr in raw_progs)
+    ):
+        raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
     left = side is Side.LEFT
     segs = open_interval_segments(endpoint, other) if left else open_interval_segments(other, endpoint)[::-1]
-    raw_singles, raw_progs = _partners(t, endpoint)
 
     kept_singles: list[Point] = []
     kept_progs: list[Progression] = []

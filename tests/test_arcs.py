@@ -14,10 +14,12 @@ from infgon.arcs import (
     shift_arc,
     squeeze,
 )
-from infgon.surface import Point, Surface
+from infgon.surface import Point, Surface, _orient, adjacent, step
+from infgon.triangulation import Window, window_arcs
 
 C1 = Surface(True, 1)
 C2 = Surface(True, 2)
+C3 = Surface(True, 3)
 U1 = Surface(False, 1)
 U2 = Surface(False, 2)
 U4 = Surface(False, 4)
@@ -155,3 +157,22 @@ def test_arc_roundtrip():
     assert parse_arc(C2, "a1-1:0") == parse_arc(C2, "1:0-a1")
     with pytest.raises(ValueError):
         parse_arc(C2, "1:0")
+
+
+def test_key_primitives_match_their_definitions():
+    """Crossing, arc order and adjacency read stored keys and positions; check
+    them against their definitions on points, over whole windows."""
+    for surface in (C1, C2, C3, U2):
+        w = Window.symmetric(surface, 3)
+        arcs = window_arcs(w)
+        for g in arcs:
+            x, y = g.a.circuit_key(), g.b.circuit_key()
+            assert arc_key(g) == (x, y)
+            for d in arcs:
+                u, v = d.a.circuit_key(), d.b.circuit_key()
+                distinct = len({g.a, g.b, d.a, d.b}) == 4
+                interleave = distinct and _orient(x, u, y) != _orient(x, v, y)
+                assert cross_transverse(g, d) == interleave
+        for p in w.points:
+            for q in w.points:
+                assert adjacent(p, q) == (p != q and (step(p, 1) == q or step(q, 1) == p))

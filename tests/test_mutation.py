@@ -125,6 +125,22 @@ def test_scans_never_build_the_mirror_image(monkeypatch):
         assert back.new_arc == a and back.new_triangulation.contains(a)
 
 
+def test_scans_never_check_membership_separately(monkeypatch):
+    """neighbor_scan learns whether the arc is in t from its partner pass."""
+
+    def refuse(self, arc):
+        raise AssertionError("Triangulation.contains called")
+
+    w = Window.of_points([C1.point(1, i) for i in range(-4, 4)] + [C1.point(1, None)])
+    T = window_brute_force(w)[0]
+    window_t = from_window_set(w, T)
+    cases = [(window_t, a) for a in sorted(T, key=arc_key)]
+    cases.append((build_fountain(C2, C2.point(2, 1)), parse_arc(C2, "2:1-2:3")))
+    monkeypatch.setattr(Triangulation, "contains", refuse)
+    for t, a in cases:
+        assert quad_frame(t, a).arc == a
+
+
 def test_approximate_fountain():
     t = fountain1()
     res = approximate(t, parse_arc(C1, "1:0-a1"), Side.LEFT)

@@ -1,7 +1,14 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import surface_and_points
+from infgon import surface as surface_module
+from infgon.arcs import lift_surface, squeeze_surface
 from infgon.surface import (
     MixedSurfaceError,
     Point,
@@ -118,3 +125,51 @@ def test_surface_roundtrip():
         parse_surface("disc:3")
     with pytest.raises(ValueError):
         parse_point(C1, "1;0")
+
+
+def test_surfaces_are_interned():
+    s = Surface(True, 2)
+    assert Surface(True, 2) is s
+    assert Surface(1, 2) is s
+    assert parse_surface("completed:2") is s
+    assert squeeze_surface(lift_surface(s)) is s
+    assert copy.copy(s) is s
+    assert copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert pickle.loads(pickle.dumps(s.point(1, 0))).surface is s
+    for completed in (True, False):
+        for n in (1, 2, 3, 5):
+            assert hash(Surface(completed, n)) == hash((completed, n))
+    with pytest.raises(ValueError):
+        Surface(True, 0)
+    assert (True, 0) not in surface_module._SURFACES
+    with pytest.raises(AttributeError):
+        s.intervals = 3
+    with pytest.raises(AttributeError):
+        del s.completed
+    assert s.intervals == 2 and s.completed is True
+
+
+def test_threads_building_one_surface_share_it():
+    """Surfaces made at once in several threads are still one object each."""
+    sizes = range(1000, 1200)
+    seen: list[list[Surface]] = [[] for _ in range(6)]
+    start = threading.Barrier(len(seen))
+
+    def build(out):
+        start.wait(timeout=10)
+        out.extend(Surface(False, n) for n in sizes)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in seen]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for i, n in enumerate(sizes):
+        assert all(out[i] is Surface(False, n) for out in seen)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from infgon.arcs import Arc, cross_transverse, parse_arc
+from infgon.arcs import Arc, cross_transverse, format_arc, parse_arc
 from infgon.surface import MixedSurfaceError, Point, Surface
 from infgon.triangulation import (
     CertificateStatus,
@@ -39,6 +39,7 @@ from infgon.triangulation import (
     window_brute_force,
     window_check,
 )
+from infgon.triangulation import _polygon_diagonal_sets
 
 C1 = Surface(True, 1)
 C2 = Surface(True, 2)
@@ -107,6 +108,33 @@ def test_window_brute_force_counts():
     assert len(window_brute_force(quad_acc)) == 2
     with pytest.raises(ResourceLimitError):
         window_brute_force(Window.of_points([C1.point(1, i) for i in range(13)]))
+
+
+def _fresh_arcs_brute_force(w):
+    """Reference: the maximal sets with a new Arc built for every set."""
+    m, pts = len(w.points), w.points
+    mandatory = set()
+    for i in range(m):
+        try:
+            mandatory.add(Arc(pts[i], pts[(i + 1) % m]))
+        except ValueError:
+            continue
+    out = []
+    for diag_set in _polygon_diagonal_sets(m):
+        arcs = set(mandatory)
+        arcs.update(Arc(pts[i], pts[j]) for i, j in diag_set)
+        out.append(frozenset(arcs))
+    return out
+
+
+def test_window_brute_force_shares_its_arcs():
+    w = Window.of_points([C1.point(1, i) for i in range(-4, 4)] + [C1.accumulation(1)])
+    assert len(w.points) == 9
+    sets = window_brute_force(w)
+    assert len({id(a) for T in sets for a in T}) <= len(window_arcs(w))
+    reference = _fresh_arcs_brute_force(w)
+    assert sets == reference
+    assert [list(T) for T in sets] == [list(T) for T in reference]
 
 
 def test_window_check_and_from_window_set():
@@ -195,6 +223,32 @@ def test_neighbor_scan_fountain():
     assert scan.empty and scan.extremum is None
     with pytest.raises(TriangulationError):
         neighbor_scan(t, parse_arc(C1, "1:1-1:3"), C1.point(1, 1), Side.LEFT)
+
+
+def test_scan_of_an_arc_not_in_t_raises():
+    """Scans decide membership from their own partner pass; it agrees with
+    Triangulation.contains on every window arc, endpoint and side."""
+    w = Window.of_points([C1.point(1, i) for i in range(-4, 4)] + [C1.accumulation(1)])
+    cases = [
+        (from_window_set(w, window_brute_force(w)[7]), w),
+        (build_fountain(C2, C2.point(2, 1)), Window.symmetric(C2, 2)),
+        (canonical_zigzag(C1), Window.symmetric(C1, 4)),
+    ]
+    for t, window in cases:
+        missing = 0
+        for a in window_arcs(window):
+            for e in a.endpoints:
+                for side in (Side.LEFT, Side.RIGHT):
+                    if t.contains(a):
+                        assert neighbor_scan(t, a, e, side).arc == a
+                        continue
+                    missing += 1
+                    with pytest.raises(TriangulationError, match=f"^arc {format_arc(a)} is not in the triangulation$"):
+                        neighbor_scan(t, a, e, side)
+        assert missing
+    foreign = parse_arc(C2, "1:0-1:2")
+    with pytest.raises(TriangulationError, match="is not in the triangulation"):
+        neighbor_scan(fountain1(), foreign, foreign.a, Side.LEFT)
 
 
 def test_scan_extremum_arc_is_in_triangulation():
