@@ -28,10 +28,12 @@ class Arc:
     Endpoints are stored in circuit-key order so equal arcs compare and hash
     equal structurally.  The arc carries the circuit keys of its endpoints,
     ``ka`` of ``a`` and ``kb`` of ``b`` with ``ka < kb``, so crossing and
-    ordering questions read them instead of recomputing them.
+    ordering questions read them instead of recomputing them.  The trusted
+    constructor ``Arc._trusted(a, b, ka, kb)`` checks nothing: it serves maps
+    that send valid arcs to valid arcs and keep ``ka < kb`` (shift, lift).
     """
 
-    __slots__ = ("a", "b", "ka", "kb", "_hash")
+    __slots__ = ("a", "b", "ka", "kb", "surface", "_hash")
 
     def __init__(self, p: Point, q: Point):
         if p.surface is not q.surface:
@@ -47,18 +49,25 @@ class Arc:
         kp, kq = p.circuit_key(), q.circuit_key()
         if kq < kp:
             p, q, kp, kq = q, p, kq, kp
-        object.__setattr__(self, "a", p)
-        object.__setattr__(self, "b", q)
-        object.__setattr__(self, "ka", kp)
-        object.__setattr__(self, "kb", kq)
-        object.__setattr__(self, "_hash", hash((p, q)))
+        self._fill(p, q, kp, kq)
+
+    @classmethod
+    def _trusted(cls, a: Point, b: Point, ka: tuple[int, int], kb: tuple[int, int]) -> "Arc":
+        arc = object.__new__(cls)
+        arc._fill(a, b, ka, kb)
+        return arc
+
+    def _fill(self, a: Point, b: Point, ka: tuple[int, int], kb: tuple[int, int]) -> None:
+        put = object.__setattr__
+        put(self, "a", a)
+        put(self, "b", b)
+        put(self, "ka", ka)
+        put(self, "kb", kb)
+        put(self, "surface", a.surface)
+        put(self, "_hash", hash((a, b)))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("arcs are immutable")
-
-    @property
-    def surface(self) -> Surface:
-        return self.a.surface
 
     @property
     def endpoints(self) -> tuple[Point, Point]:
@@ -116,14 +125,16 @@ def cross_transverse(g: Arc, d: Arc) -> bool:
 
 
 def shift_arc(g: Arc, k: int) -> Arc:
-    """Apply the successor map k times (predecessor for negative k) to both endpoints."""
+    """Apply the successor map k times (predecessor for negative k) to both endpoints.
 
-    def move(p: Point) -> Point:
-        if p.pos is None:
-            return p
-        return Point(p.surface, p.interval, p.pos + k)
-
-    return Arc(move(g.a), move(g.b))
+    Shifting keeps an arc valid and its key order, so nothing is re-validated.
+    """
+    a, b, ka, kb = g.a, g.b, g.ka, g.kb
+    if a.pos is not None:
+        a, ka = Point._make((a.surface, a.interval, a.pos + k)), (ka[0], ka[1] + k)
+    if b.pos is not None:
+        b, kb = Point._make((b.surface, b.interval, b.pos + k)), (kb[0], kb[1] + k)
+    return Arc._trusted(a, b, ka, kb)
 
 
 def squeeze_surface(surface: Surface) -> Surface:
@@ -163,16 +174,15 @@ def canonical_lift(g: Arc) -> Arc:
 
     Regular points lift into the corresponding odd interval; accumulation
     points lift to position 0 of their even interval.  Any other choice of
-    even-interval positions squeezes back to the same arc.
+    even-interval positions squeezes back to the same arc.  So a point with
+    circuit key (s, p) lifts to position p of interval s, key (2s - 1, p): an
+    order-keeping map that keeps the arc valid, so nothing is re-validated.
     """
     target = lift_surface(g.surface)
-
-    def lift(p: Point) -> Point:
-        if p.pos is None:
-            return Point(target, 2 * p.interval, 0)
-        return Point(target, 2 * p.interval - 1, p.pos)
-
-    return Arc(lift(g.a), lift(g.b))
+    (sa, pa), (sb, pb) = g.ka, g.kb
+    return Arc._trusted(
+        Point._make((target, sa, pa)), Point._make((target, sb, pb)), (2 * sa - 1, pa), (2 * sb - 1, pb)
+    )
 
 
 def classify(g: Arc) -> ArcClass:

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .arcs import Arc, ArcClass, canonical_lift, cross_transverse, shift_arc, squeeze
-from .surface import MixedSurfaceError, Point, Surface, _orient, adjacent, between, step
+from .surface import MixedSurfaceError, Point, Surface, _orient, adjacent, between
 
 
 class ExtCase(Enum):
@@ -56,9 +56,13 @@ class BoundaryInterval:
         """
         return _segments(self.start, self.end, True, True)
 
-    def position_ranges(self, interval: int) -> list[tuple[int | None, int | None]]:
-        """Position ranges of the given interval's regular points inside the interval."""
-        return [(seg[2], seg[3]) for seg in self.segments() if seg[0] == "run" and seg[1] == interval]
+    def runs(self) -> dict[int, list[tuple[int | None, int | None]]]:
+        """Position ranges of the regular points inside, keyed by the marked intervals met."""
+        out: dict[int, list[tuple[int | None, int | None]]] = {}
+        for seg in self.segments():
+            if seg[0] == "run":
+                out.setdefault(seg[1], []).append((seg[2], seg[3]))
+        return out
 
 
 def _surface_slots(surface: Surface) -> list[int]:
@@ -188,13 +192,12 @@ def sweep_intervals(g: Arc, d: Arc) -> tuple[BoundaryInterval, BoundaryInterval]
         raise ValueError("sweep_intervals applies to uncompleted arcs")
     if hom_dim(g, d) != 1:
         raise ValueError("sweep_intervals needs a nonzero morphism g -> d")
-    for x0, x1 in ((g.a, g.b), (g.b, g.a)):
-        for y0, y1 in ((d.a, d.b), (d.b, d.a)):
-            p1 = step(y1, -1).circuit_key()
-            p2 = step(y0, -1).circuit_key()
-            kx0, kx1 = x0.circuit_key(), x1.circuit_key()
-            keys = {kx0, p1, kx1, p2}
-            if len(keys) == 4 and _orient(kx0, p1, kx1) and _orient(kx0, kx1, p2):
+    # keys of the endpoints, and of the predecessors of d's (regular) endpoints
+    xs = ((g.a, g.ka), (g.b, g.kb))
+    ys = ((d.a, (d.ka[0], d.ka[1] - 1)), (d.b, (d.kb[0], d.kb[1] - 1)))
+    for (x0, kx0), (x1, kx1) in (xs, xs[::-1]):
+        for (y0, p2), (y1, p1) in (ys, ys[::-1]):
+            if len({kx0, p1, kx1, p2}) == 4 and _orient(kx0, p1, kx1) and _orient(kx0, kx1, p2):
                 return (BoundaryInterval(y0, x0), BoundaryInterval(y1, x1))
     raise AssertionError("no strict interleaving witness despite nonzero morphism")
 
@@ -214,26 +217,22 @@ def _ranges_admit_separated_pair(r0: tuple, r1: tuple) -> bool:
     return hi1 is None or lo0 is None or hi1 - lo0 >= 2
 
 
-def _collapsing_arc_in_sweep(i0: BoundaryInterval, i1: BoundaryInterval, surface: Surface) -> bool:
-    for k in range(2, surface.intervals + 1, 2):
-        for r0 in i0.position_ranges(k):
-            for r1 in i1.position_ranges(k):
-                if _ranges_admit_separated_pair(r0, r1):
-                    return True
+def _collapsing_arc_in_sweep(runs0: dict, runs1: dict) -> bool:
+    for k, rs0 in runs0.items():
+        if k % 2 == 0 and any(_ranges_admit_separated_pair(r0, r1) for r0 in rs0 for r1 in runs1.get(k, ())):
+            return True
     return False
 
 
-def _persistent_arc_in_sweep(i0: BoundaryInterval, i1: BoundaryInterval, surface: Surface) -> bool:
-    hits0 = {k: i0.position_ranges(k) for k in range(1, surface.intervals + 1, 2)}
-    hits1 = {k: i1.position_ranges(k) for k in range(1, surface.intervals + 1, 2)}
-    odd0 = [k for k, rs in hits0.items() if rs]
-    odd1 = [k for k, rs in hits1.items() if rs]
+def _persistent_arc_in_sweep(runs0: dict, runs1: dict) -> bool:
+    odd0 = [k for k in runs0 if k % 2]
+    odd1 = [k for k in runs1 if k % 2]
     if not odd0 or not odd1:
         return False
     if any(k0 != k1 for k0 in odd0 for k1 in odd1):
         return True
     k = odd0[0]
-    return any(_ranges_admit_separated_pair(r0, r1) for r0 in hits0[k] for r1 in hits1[k])
+    return any(_ranges_admit_separated_pair(r0, r1) for r0 in runs0[k] for r1 in runs1[k])
 
 
 def factors_over(g: Arc, d: Arc, family: ArcClass | None = None) -> bool:
@@ -243,14 +242,13 @@ def factors_over(g: Arc, d: Arc, family: ArcClass | None = None) -> bool:
     the two swept boundary intervals; the intervals may hold infinitely many
     points, so no arc enumeration happens.
     """
-    sweep = sweep_intervals(g, d)
-    i0, i1 = sweep
+    i0, i1 = sweep_intervals(g, d)
     if family is None:
         return True  # d itself (or g, for the identity) always qualifies
     if family is ArcClass.COLLAPSING:
-        return _collapsing_arc_in_sweep(i0, i1, g.surface)
+        return _collapsing_arc_in_sweep(i0.runs(), i1.runs())
     if family is ArcClass.PERSISTENT:
-        return _persistent_arc_in_sweep(i0, i1, g.surface)
+        return _persistent_arc_in_sweep(i0.runs(), i1.runs())
     raise ValueError(f"unsupported arc family {family}")
 
 
@@ -287,9 +285,10 @@ def ext_dim_oracle(g: Arc, d: Arc, lift_g: Arc | None = None, lift_d: Arc | None
     if hom_dim(lg, sld) != 1:
         return 0
     i0, i1 = sweep_intervals(lg, sld)
-    if _collapsing_arc_in_sweep(i0, i1, lg.surface):
+    runs0, runs1 = i0.runs(), i1.runs()
+    if _collapsing_arc_in_sweep(runs0, runs1):
         return 0
-    return 1 if _persistent_arc_in_sweep(i0, i1, lg.surface) else 0
+    return 1 if _persistent_arc_in_sweep(runs0, runs1) else 0
 
 
 @dataclass(frozen=True)

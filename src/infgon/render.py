@@ -17,6 +17,7 @@ from .surface import Point, Surface
 from .triangulation import Family, Triangulation, Window, _escape, visible_params
 
 SIZE = 420  # width and height of the picture, in pixels
+RADIUS_LIMIT = 100  # largest window radius: 606 points on completed:3, under 2 px apart
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,8 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.radius < 2:
             raise ValueError("render window radius must be at least 2")
+        if self.radius > RADIUS_LIMIT:
+            raise ValueError(f"render window radius {self.radius} exceeds the limit {RADIUS_LIMIT}")
 
 
 def _fmt(v: float) -> str:

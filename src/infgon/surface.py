@@ -101,6 +101,11 @@ class Point(_PointBase):
             raise ValueError("uncompleted surfaces have no accumulation points")
         return super().__new__(cls, surface, interval, pos)
 
+    def __hash__(self) -> int:
+        if self.pos is None:  # a constant for None, whose hash may differ per process
+            return hash((self.surface, self.interval, 0.5))
+        return tuple.__hash__(self)  # a regular point hashes as its tuple
+
     @property
     def is_accumulation(self) -> bool:
         return self.pos is None

@@ -10,6 +10,7 @@ from infgon.arcs import (
     classify,
     cross_transverse,
     format_arc,
+    lift_surface,
     parse_arc,
     shift_arc,
     squeeze,
@@ -176,3 +177,38 @@ def test_key_primitives_match_their_definitions():
         for p in w.points:
             for q in w.points:
                 assert adjacent(p, q) == (p != q and (step(p, 1) == q or step(q, 1) == p))
+
+
+def test_trusted_shift_and_lift_match_the_validating_constructor():
+    """shift_arc and canonical_lift build arcs without validating them; they
+    must build exactly what Arc(p, q) builds from the moved endpoints."""
+
+    def same(got: Arc, want: Arc) -> None:
+        assert (got.a, got.b, got.ka, got.kb) == (want.a, want.b, want.ka, want.kb)
+        assert got.surface is want.surface and hash(got) == hash(want) and got == want
+
+    def steps(p: Point, k: int) -> Point:
+        for _ in range(abs(k)):
+            p = step(p, 1 if k > 0 else -1)
+        return p
+
+    def lift(p: Point) -> Point:
+        target = lift_surface(p.surface)
+        if p.pos is None:
+            return Point(target, 2 * p.interval, 0)
+        return Point(target, 2 * p.interval - 1, p.pos)
+
+    for surface in (C1, C2, C3, U2):
+        for g in window_arcs(Window.symmetric(surface, 3)):
+            for k in range(-3, 4):
+                same(shift_arc(g, k), Arc(steps(g.a, k), steps(g.b, k)))
+            if surface.completed:
+                same(canonical_lift(g), Arc(lift(g.a), lift(g.b)))
+
+
+def test_regular_hashes_are_tuple_hashes():
+    """Points and arcs away from accumulation points hash as plain tuples."""
+    for surface in (C2, U2):
+        for g in window_arcs(Window.symmetric(surface, 2, include_accumulation=False)):
+            ta, tb = tuple(g.a), tuple(g.b)
+            assert hash(g.a) == hash(ta) and hash(g) == hash((ta, tb))

@@ -4,6 +4,7 @@ import pytest
 
 from infgon.acceptance import is_weak_ct
 from infgon.cli import main
+from infgon.render import RADIUS_LIMIT
 from infgon.surface import Surface
 from infgon.triangulation import Window, window_arcs, window_brute_force
 
@@ -172,6 +173,17 @@ def test_render_verb(tmp_path, capsys):
     )
     assert code == 0 and payload["arcs"] == 11
     assert out.read_text().startswith("<svg")
+
+
+def test_render_radius_limit(tmp_path, capsys):
+    out = tmp_path / "pic.svg"
+    argv = ["render", "--triangulation", "fountain(completed:3,1:0)", "--out", str(out), "--radius"]
+    code = main([*argv, "1000000000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: render window radius 1000000000000 exceeds the limit {RADIUS_LIMIT}\n"
+    code, payload = run_json(capsys, *argv, str(RADIUS_LIMIT))
+    assert code == 0 and payload["points"] == 3 * (2 * RADIUS_LIMIT + 1) + 3
 
 
 def test_usage_errors(capsys):

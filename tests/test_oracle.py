@@ -5,9 +5,11 @@ import random
 import pytest
 
 from conftest import all_window_arcs
-from infgon.arcs import Arc, canonical_lift, parse_arc, squeeze
-from infgon.homs import ext_dim, ext_dim_oracle
+from infgon import homs
+from infgon.arcs import Arc, ArcClass, canonical_lift, parse_arc, shift_arc, squeeze
+from infgon.homs import ext_dim, ext_dim_oracle, factors_over, hom_dim
 from infgon.surface import Point, Surface
+from infgon.triangulation import Window, window_arcs
 
 C1 = Surface(True, 1)
 C2 = Surface(True, 2)
@@ -54,3 +56,37 @@ def test_oracle_lift_independence_sample():
         lg, ld = random_lift(g), random_lift(d)
         assert squeeze(lg) == g and squeeze(ld) == d
         assert ext_dim_oracle(g, d, lift_g=lg, lift_d=ld) == ext_dim_oracle(g, d)
+
+
+def test_oracle_path_builds_nothing_twice(monkeypatch):
+    """Shifts and lifts build no validated arc, each sweep decomposes each of
+    its two intervals at most once, and the oracle never consults ext_dim."""
+    arcs = window_arcs(Window.symmetric(C2, 3))
+    per_sweep: list[int] = []  # _segments calls following each sweep_intervals call
+    segments, sweep_intervals = homs._segments, homs.sweep_intervals
+
+    def refuse(*args):
+        raise AssertionError("validated on the oracle path")
+
+    def counted_segments(*args):
+        per_sweep[-1] += 1
+        return segments(*args)
+
+    def counted_sweep(g, d):
+        per_sweep.append(0)
+        return sweep_intervals(g, d)
+
+    monkeypatch.setattr(Arc, "__init__", refuse)
+    monkeypatch.setattr(homs, "ext_dim", refuse)
+    monkeypatch.setattr(homs, "_segments", counted_segments)
+    monkeypatch.setattr(homs, "sweep_intervals", counted_sweep)
+    for g in arcs:
+        for d in arcs:
+            hom_dim(g, d)
+            ext_dim_oracle(g, d)
+            lg, sld = canonical_lift(g), shift_arc(canonical_lift(d), 1)
+            if hom_dim(lg, sld):
+                for family in (None, ArcClass.COLLAPSING, ArcClass.PERSISTENT):
+                    factors_over(lg, sld, family)
+    assert len(per_sweep) > len(arcs) ** 2 // 4
+    assert max(per_sweep) == 2

@@ -39,6 +39,22 @@ def test_closed_interval_segments_match_cyclic_order(data):
         assert direct == expected
 
 
+def _position_ranges(interval: BoundaryInterval, k: int) -> list:
+    """Reference route: the position ranges of interval k, filtered from the decomposition."""
+    return [(seg[2], seg[3]) for seg in interval.segments() if seg[0] == "run" and seg[1] == k]
+
+
+@given(surface_and_points(2))
+@settings(max_examples=300)
+def test_runs_group_the_decomposition_by_interval(data):
+    surface, (a, b) = data
+    interval = BoundaryInterval(a, b)
+    runs = interval.runs()
+    assert set(runs) <= set(range(1, surface.intervals + 1))
+    for k in range(1, surface.intervals + 1):
+        assert runs.get(k, []) == _position_ranges(interval, k)
+
+
 @given(surface_and_points(3))
 @settings(max_examples=300)
 def test_open_interval_segments_match_cyclic_order(data):

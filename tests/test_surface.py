@@ -1,5 +1,7 @@
 import copy
+import os
 import pickle
+import subprocess
 import sys
 import threading
 
@@ -173,3 +175,29 @@ def test_threads_building_one_surface_share_it():
     assert not any(th.is_alive() for th in threads)
     for i, n in enumerate(sizes):
         assert all(out[i] is Surface(False, n) for out in seen)
+
+
+_HASH_PROBE = """
+from infgon.arcs import format_arc
+from infgon.surface import Surface
+from infgon.triangulation import Window, window_arcs, window_brute_force
+
+for n in (1, 2, 3):
+    s = Surface(True, n)
+    print([hash(s.accumulation(k)) for k in range(1, n + 1)])
+    print([hash(a) for a in window_arcs(Window.symmetric(s, 1))])
+for arcs in window_brute_force(Window.symmetric(Surface(True, 1), 2)):
+    print([format_arc(a) for a in arcs])
+"""
+
+
+def test_hashes_do_not_depend_on_the_process():
+    """Accumulation points, arcs ending at them and the sets holding them hash
+    and iterate alike in every process."""
+    src = os.path.dirname(os.path.dirname(surface_module.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-c", _HASH_PROBE], env=env, capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and outs[0].count("\n") > 6
