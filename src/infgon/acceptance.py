@@ -9,13 +9,16 @@ both the test suite and the ``verify-suite`` CLI verb.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .arcs import Arc, arc_key, canonical_lift, cross_transverse, format_arc, shift_arc
 from .homs import (
     ExtCase,
+    ext_ambient_dim,
     ext_case,
     ext_dim,
     ext_dim_oracle,
@@ -84,69 +87,58 @@ def _criterion(name: str):
     return wrap
 
 
-@dataclass
-class _PairScan:
-    pairs: int = 0
-    oracle_bad: list[str] = field(default_factory=list)
-    symmetry_bad: list[str] = field(default_factory=list)
-    containment_bad: list[str] = field(default_factory=list)
-    drop_case_bad: list[str] = field(default_factory=list)
-
-
-_SCAN_CACHE: dict[tuple[int, int], _PairScan] = {}
 _STRICT_DROPS = {ExtCase.CLOCKWISE_AT_ACCUMULATION, ExtCase.DOUBLE_ACCUMULATION_SELF}
+_GAP_CAP = 3  # one gap of 3 between consecutive endpoint positions stands for every gap >= 3
 
 
-def _pair_scan(n: int, bound: int) -> _PairScan:
-    key = (n, bound)
-    if key in _SCAN_CACHE:
-        return _SCAN_CACHE[key]
-    scan = _PairScan()
-    arcs = window_arcs(Window.symmetric(Surface(True, n), bound))
-    for g in arcs:
-        for d in arcs:
-            scan.pairs += 1
-            e = ext_dim(g, d)
-            if e != ext_dim(d, g):
-                scan.symmetry_bad.append(f"{format_arc(g)} vs {format_arc(d)} on n={n}")
-            o = ext_dim_oracle(g, d)
-            if e != o:
-                scan.oracle_bad.append(f"{format_arc(g)} vs {format_arc(d)} on n={n}: ext={e} oracle={o}")
-            case = ext_case(g, d)
-            ambient = 0 if case is ExtCase.NONE else 1
-            if e > ambient:
-                scan.containment_bad.append(f"{format_arc(g)} vs {format_arc(d)} on n={n}")
-            if (ambient == 1 and e == 0) != (case in _STRICT_DROPS):
-                scan.drop_case_bad.append(f"{format_arc(g)} vs {format_arc(d)} on n={n}: case={case}")
-    _SCAN_CACHE[key] = scan
-    return scan
+def pair_types(n: int) -> Iterator[tuple[Arc, Arc]]:
+    """One ordered arc pair (g, d) on completed:n per order type, each type once.
+
+    A type fixes each endpoint's slot, the weak order of the regular endpoints
+    on each interval and the gaps between their positions, capped at _GAP_CAP.
+    The arc and morphism predicates read only cyclic order, +-1 steps and
+    equality, so the representative, each interval starting at 0, stands
+    for its whole type.
+    """
+    surface = Surface(True, n)
+    for size in range(1, 5):
+        # the circuit slots of the support's points: 2k - 1 on interval k, 2k for ak
+        for slots in itertools.combinations_with_replacement(range(1, 2 * n + 1), size):
+            if any(s % 2 == 0 and slots.count(s) > 1 for s in slots):
+                continue
+            # one gap for each regular point that follows another on its interval
+            for gaps in itertools.product(range(1, _GAP_CAP + 1), repeat=size - len(set(slots))):
+                points, steps = [], iter(gaps)
+                for i, s in enumerate(slots):
+                    pos = 0 if s % 2 else None
+                    if i and slots[i - 1] == s:
+                        pos = points[-1].pos + next(steps)
+                    points.append(Point(surface, (s + 1) // 2, pos))
+                arcs = [Arc(p, q) for p, q in itertools.combinations(points, 2) if not adjacent(p, q)]
+                for g, d in itertools.product(arcs, repeat=2):
+                    if len({g.a, g.b, d.a, d.b}) == size:  # the pair uses its whole support
+                        yield g, d
 
 
-def _scan_params(level: str) -> list[tuple[int, int]]:
-    if level == "smoke":
-        return [(1, 3), (2, 3)]
-    return [(1, 6), (2, 6), (3, 6)]
+def _level_pair_types(level: str) -> list[tuple[Arc, Arc]]:
+    return [pair for n in range(1, 4 if level == "smoke" else 7) for pair in pair_types(n)]
 
 
-def _read_scans(level: str, bad) -> tuple[int, list[str]]:
-    """Pairs checked and the failures ``bad`` picks from each pair scan of the level."""
-    checked = 0
-    failures: list[str] = []
-    for n, bound in _scan_params(level):
-        scan = _pair_scan(n, bound)
-        checked += scan.pairs
-        failures.extend(bad(scan))
-    return checked, failures
+def _pair_name(g: Arc, d: Arc) -> str:
+    return f"{format_arc(g)} vs {format_arc(d)} on n={g.surface.intervals}"
 
 
 @_criterion("1 ext-oracle equivalence")
 def criterion_1_oracle_equivalence(level: str = "desk"):
-    return _read_scans(level, lambda scan: scan.oracle_bad[:5])
+    pairs = _level_pair_types(level)
+    answers = [(g, d, ext_dim(g, d), ext_dim_oracle(g, d)) for g, d in pairs]
+    return len(pairs), [f"{_pair_name(g, d)}: ext={e} oracle={o}" for g, d, e, o in answers if e != o]
 
 
 @_criterion("2 weak 2-Calabi-Yau symmetry")
 def criterion_2_symmetry(level: str = "desk"):
-    return _read_scans(level, lambda scan: scan.symmetry_bad[:5])
+    pairs = _level_pair_types(level)
+    return len(pairs), [_pair_name(g, d) for g, d in pairs if ext_dim(g, d) != ext_dim(d, g)]
 
 
 @_criterion("3 hom asymmetry at an accumulation point")
@@ -169,7 +161,15 @@ def criterion_3_hom_asymmetry(level: str = "desk"):
 
 @_criterion("4 substructure containment and strict drops")
 def criterion_4_containment(level: str = "desk"):
-    return _read_scans(level, lambda scan: scan.containment_bad[:3] + scan.drop_case_bad[:3])
+    pairs = _level_pair_types(level)
+    failures = []
+    for g, d in pairs:
+        e, ambient, case = ext_dim(g, d), ext_ambient_dim(g, d), ext_case(g, d)
+        if e > ambient:
+            failures.append(_pair_name(g, d))
+        elif (ambient == 1 and e == 0) != (case in _STRICT_DROPS):
+            failures.append(f"{_pair_name(g, d)}: case={case}")
+    return len(pairs), failures
 
 
 def _ct_windows(level: str) -> list[Window]:

@@ -48,6 +48,7 @@ from .triangulation import (
     canonical_zigzag,
     detect_leapfrog,
     limit_of_family,
+    require_window_points,
     triangulation_from_json,
     triangulation_to_json,
     validate_non_crossing,
@@ -162,7 +163,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_window_ct(args) -> int:
     surface = parse_surface(args.surface)
-    window = Window.symmetric(surface, args.bound, include_accumulation=not args.no_accumulation)
+    include_accumulation = not args.no_accumulation
+    require_window_points(Window.symmetric_size(surface, args.bound, include_accumulation))
+    window = Window.symmetric(surface, args.bound, include_accumulation)
     sets = window_brute_force(window)
     arcs = window_arcs(window)
     weak_ct = sum(1 for T in sets if acceptance.is_weak_ct(arcs, T))
@@ -325,7 +328,7 @@ def _cmd_render(args) -> int:
 def _cmd_verify_suite(args) -> int:
     results = acceptance.run_all(args.level)
     for r in results:
-        print(r.line())
+        print(r.line(), file=sys.stderr)
     passed = sum(1 for r in results if r.passed)
     payload = {"passed": passed, "failed": len(results) - passed, "level": args.level}
     _emit(payload, args.pretty)

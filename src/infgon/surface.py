@@ -106,10 +106,6 @@ class Point(_PointBase):
             return hash((self.surface, self.interval, 0.5))
         return tuple.__hash__(self)  # a regular point hashes as its tuple
 
-    @property
-    def is_accumulation(self) -> bool:
-        return self.pos is None
-
     def circuit_key(self) -> tuple[int, int]:
         if self.pos is None:
             return (2 * self.interval, 0)

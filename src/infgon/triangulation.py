@@ -57,6 +57,18 @@ class ResourceLimitError(RuntimeError):
     pass
 
 
+WINDOW_POINT_LIMIT = 12
+# every generator pair is checked with the solver, so load time grows with the
+# square of the count: a fountain of 199 generators (completed:99) takes 0.5 s
+GENERATOR_LIMIT = 200
+
+
+def require_window_points(m: int) -> None:
+    """Refuse a brute-force enumeration over a window of m points above the limit."""
+    if m > WINDOW_POINT_LIMIT:
+        raise ResourceLimitError(f"window has {m} points, limit is {WINDOW_POINT_LIMIT}")
+
+
 @dataclass(frozen=True)
 class Moving:
     """Endpoint sweeping interval ``interval`` at positions base + stride*t."""
@@ -170,6 +182,13 @@ class Window:
             if p.surface is not self.surface:
                 raise ValueError("window points must live on the window surface")
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Point.circuit_key)))
+
+    @staticmethod
+    def symmetric_size(surface: Surface, bound: int, include_accumulation: bool = True) -> int:
+        """Points of ``Window.symmetric`` with these arguments, known before any is built."""
+        if bound < 0:
+            raise ValueError(f"window bound {bound} is negative")
+        return surface.intervals * (2 * bound + 1 + (surface.completed and include_accumulation))
 
     @staticmethod
     def symmetric(surface: Surface, bound: int, include_accumulation: bool = True) -> "Window":
@@ -320,6 +339,8 @@ class Triangulation:
     certificate: Certificate = UNVERIFIED
 
     def __post_init__(self) -> None:
+        if len(self.generators) > GENERATOR_LIMIT:
+            raise ResourceLimitError(f"triangulation has {len(self.generators)} generators, limit is {GENERATOR_LIMIT}")
         for gen in self.generators:
             if isinstance(gen, Single):
                 if gen.arc.surface is not self.surface:
@@ -623,8 +644,6 @@ def canonical_zigzag(surface: Surface | None = None) -> Triangulation:
 
 # --- window machinery -------------------------------------------------------
 
-WINDOW_POINT_LIMIT = 12
-
 
 def window_arcs(w: Window) -> tuple[Arc, ...]:
     pts = w.points
@@ -667,8 +686,7 @@ def window_brute_force(w: Window) -> list[frozenset[Arc]]:
     diagonal is built as one ``Arc`` shared by every set that holds it.
     """
     m = len(w.points)
-    if m > WINDOW_POINT_LIMIT:
-        raise ResourceLimitError(f"window has {m} points, limit is {WINDOW_POINT_LIMIT}")
+    require_window_points(m)
     pts = w.points
     mandatory: set[Arc] = set()
     for i in range(m):

@@ -19,11 +19,11 @@ def _check(result, checked):
 
 
 def test_criterion_1_ext_oracle_equivalence():
-    _check(acceptance.criterion_1_oracle_equivalence("desk"), 812182)
+    _check(acceptance.criterion_1_oracle_equivalence("desk"), 31171)
 
 
 def test_criterion_2_weak_2cy_symmetry():
-    _check(acceptance.criterion_2_symmetry("desk"), 812182)
+    _check(acceptance.criterion_2_symmetry("desk"), 31171)
 
 
 def test_criterion_3_hom_asymmetry():
@@ -31,7 +31,7 @@ def test_criterion_3_hom_asymmetry():
 
 
 def test_criterion_4_substructure_containment():
-    _check(acceptance.criterion_4_containment("desk"), 812182)
+    _check(acceptance.criterion_4_containment("desk"), 31171)
 
 
 def test_criterion_5_window_weak_ct_bijection():
@@ -61,3 +61,12 @@ def test_criterion_10_flip_involution():
 def test_criterion_11_lift_independence():
     _check(acceptance.criterion_11_lift_independence("desk"), 20000)
 
+
+def test_pair_criteria_check_every_type_of_the_smoke_level():
+    # completed:1..3 carry 205 + 808 + 2121 order types of arc pairs
+    for criterion in (
+        acceptance.criterion_1_oracle_equivalence,
+        acceptance.criterion_2_symmetry,
+        acceptance.criterion_4_containment,
+    ):
+        _check(criterion("smoke"), 3134)

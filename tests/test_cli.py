@@ -6,7 +6,7 @@ from infgon.acceptance import is_weak_ct
 from infgon.cli import main
 from infgon.render import RADIUS_LIMIT
 from infgon.surface import Surface
-from infgon.triangulation import Window, window_arcs, window_brute_force
+from infgon.triangulation import GENERATOR_LIMIT, Window, window_arcs, window_brute_force
 
 
 def run(capsys, *argv):
@@ -146,6 +146,36 @@ def test_window_ct_verb(capsys):
         assert "Traceback" not in captured.err
 
 
+def test_window_ct_checks_the_bound_before_building_the_window(capsys, monkeypatch):
+    for surface in ("completed:1", "uncompleted:1"):
+        code = main(["window-ct", "--surface", surface, "--bound", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: window bound -1 is negative\n"
+    built = []
+    monkeypatch.setattr(Window, "symmetric", lambda *args, **kw: built.append(args))
+    code = main(["window-ct", "--surface", "completed:1", "--bound", "100000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, built) == (2, "", [])
+    assert captured.err == "error: window has 200002 points, limit is 12\n"
+
+
+def test_generator_limit(tmp_path, capsys):
+    # fountain(completed:N, 1:0) has 2N + 1 generators
+    at_limit = (GENERATOR_LIMIT - 1) // 2
+    over = at_limit + 1
+    code, payload = run_json(capsys, "leapfrog", "--triangulation", f"fountain(completed:{at_limit},1:0)")
+    assert (code, payload) == (0, {"leapfrog": False})
+    doc = {"surface": "completed:1", "generators": [{"single": f"1:0-1:{i}"} for i in range(2, GENERATOR_LIMIT + 3)]}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    for token, count in ((f"fountain(completed:{over},1:0)", 2 * over + 1), (str(path), GENERATOR_LIMIT + 1)):
+        code = main(["leapfrog", "--triangulation", token])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: triangulation has {count} generators, limit is {GENERATOR_LIMIT}\n"
+
+
 def test_leapfrog_and_approx_object(capsys):
     code, payload = run_json(capsys, "leapfrog", "--triangulation", "zigzag(completed:1)")
     assert payload["leapfrog"] is True
@@ -204,8 +234,9 @@ def test_pretty_output(capsys):
 
 
 def test_verify_suite_smoke(capsys):
-    code, out = run(capsys, "verify-suite", "--level", "smoke")
+    code = main(["verify-suite", "--level", "smoke"])
+    captured = capsys.readouterr()
     assert code == 0
-    lines = out.splitlines()
-    assert sum(1 for line in lines if line.startswith("PASS")) == 11
-    assert json.loads(lines[-1]) == {"failed": 0, "level": "smoke", "passed": 11}
+    # stdout is one JSON document, like every other verb; the lines go to stderr
+    assert json.loads(captured.out) == {"failed": 0, "level": "smoke", "passed": 11}
+    assert sum(1 for line in captured.err.splitlines() if line.startswith("PASS")) == 11
