@@ -116,7 +116,7 @@ def pair_types(n: int) -> Iterator[tuple[Arc, Arc]]:
                     points.append(Point(surface, (s + 1) // 2, pos))
                 arcs = [Arc(p, q) for p, q in itertools.combinations(points, 2) if not adjacent(p, q)]
                 for g, d in itertools.product(arcs, repeat=2):
-                    if len({g.a, g.b, d.a, d.b}) == size:  # the pair uses its whole support
+                    if len({g.ka, g.kb, d.ka, d.kb}) == size:  # the pair uses its whole support
                         yield g, d
 
 

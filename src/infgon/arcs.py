@@ -112,16 +112,16 @@ class ArcClass(Enum):
     MIXED = "mixed"
 
 
-def cross_transverse(g: Arc, d: Arc) -> bool:
-    """True iff the endpoints of g and d strictly interleave around the circle.
+def keys_interleave(x: tuple[int, int], y: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> bool:
+    """True iff the sorted key pairs x < y and u < v strictly interleave; a shared key never does."""
+    return x < u < y < v or u < x < v < y
 
-    Decided on the stored circuit keys.  A shared endpoint makes two keys
-    equal, which strict interleaving already excludes.
-    """
+
+def cross_transverse(g: Arc, d: Arc) -> bool:
+    """True iff the endpoints of g and d strictly interleave around the circle."""
     if g.surface is not d.surface:
         raise MixedSurfaceError("arcs on different surfaces")
-    x, y, u, v = g.ka, g.kb, d.ka, d.kb
-    return x < u < y < v or u < x < v < y
+    return keys_interleave(g.ka, g.kb, d.ka, d.kb)
 
 
 def shift_arc(g: Arc, k: int) -> Arc:

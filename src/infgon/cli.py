@@ -106,6 +106,8 @@ def _load_triangulation(token: str) -> Triangulation:
         raise UsageError(f"triangulation {token!r}: missing field {exc}")
     except TypeError as exc:
         raise UsageError(f"triangulation {token!r}: malformed document ({exc})")
+    except RecursionError:
+        raise UsageError(f"triangulation {token!r}: nested too deeply")
 
 
 def _arc_pair(args) -> tuple[Arc, Arc]:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .arcs import Arc, ArcClass, canonical_lift, cross_transverse, shift_arc, squeeze
+from .arcs import Arc, ArcClass, canonical_lift, cross_transverse, keys_interleave, shift_arc, squeeze
 from .surface import MixedSurfaceError, Point, Surface, _orient, adjacent, between
 
 
@@ -54,7 +53,7 @@ class BoundaryInterval:
 
         lo/hi are inclusive position bounds; None means unbounded on that side.
         """
-        return _segments(self.start, self.end, True, True)
+        return _segments(self.start, self.end, True)
 
     def runs(self) -> dict[int, list[tuple[int | None, int | None]]]:
         """Position ranges of the regular points inside, keyed by the marked intervals met."""
@@ -71,44 +70,40 @@ def _surface_slots(surface: Surface) -> list[int]:
     return list(range(1, 2 * surface.intervals, 2))
 
 
-def _segments(x: Point, y: Point, closed_start: bool, closed_end: bool) -> list[tuple]:
+def _segments(x: Point, y: Point, closed: bool) -> list[tuple]:
     """Ordered decomposition of the boundary interval from x to y (anticlockwise).
 
     Used both for closed sweep intervals and for the open intervals cut off by
-    an arc's endpoints.
+    an arc's endpoints; an open interval never has x == y.
     """
     surface = x.surface
     sx, px = x.circuit_key()
     sy, py = y.circuit_key()
     out: list[tuple] = []
+    inset = 0 if closed else 1
 
     if x == y:
-        if not (closed_start or closed_end):
-            raise ValueError("open interval with equal endpoints is empty")
         if x.pos is None:
             return [("acc", x.interval)]
         return [("run", x.interval, x.pos, x.pos)]
 
     def head() -> None:
         if x.pos is None:
-            if closed_start:
+            if closed:
                 out.append(("acc", x.interval))
         else:
-            lo = px if closed_start else px + 1
-            out.append(("run", x.interval, lo, None))
+            out.append(("run", x.interval, px + inset, None))
 
     def tail() -> None:
         if y.pos is None:
-            if closed_end:
+            if closed:
                 out.append(("acc", y.interval))
         else:
-            hi = py if closed_end else py - 1
-            out.append(("run", y.interval, None, hi))
+            out.append(("run", y.interval, None, py - inset))
 
     if sx == sy and px < py:
         # Same accumulation slot would force x == y, so both points are regular.
-        lo = px if closed_start else px + 1
-        hi = py if closed_end else py - 1
+        lo, hi = px + inset, py - inset
         return [("run", x.interval, lo, hi)] if lo <= hi else []
 
     # With sx == sy and px > py the interval wraps nearly the whole circle: i == j below.
@@ -126,16 +121,39 @@ def open_interval_segments(x: Point, y: Point) -> list[tuple]:
     """Segments of the open anticlockwise interval (x, y), endpoints excluded."""
     if x == y:
         raise ValueError("open interval needs distinct endpoints")
-    return _segments(x, y, False, False)
+    return _segments(x, y, False)
+
+
+def _key_case(x: tuple[int, int], y: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> ExtCase:
+    """Classify the arc pair with sorted endpoint keys x < y and u < v.
+
+    A key with an even slot is an accumulation point; uncompleted keys never
+    have one, so there only the crossing case can hold.
+    """
+    if keys_interleave(x, y, u, v):
+        return ExtCase.CROSSING
+    if (x, y) == (u, v):
+        return ExtCase.DOUBLE_ACCUMULATION_SELF if x[0] % 2 == y[0] % 2 == 0 else ExtCase.NONE
+    # distinct arcs share at most one endpoint
+    for p, a in ((x, y), (y, x)):
+        if p[0] % 2 == 0 and (p == u or p == v):
+            b = v if p == u else u
+            return ExtCase.CLOCKWISE_AT_ACCUMULATION if _orient(p, b, a) else ExtCase.NONE
+    return ExtCase.NONE
 
 
 def hom_dim(g: Arc, d: Arc) -> int:
-    """Dimension (0 or 1) of the morphism space g -> d."""
+    """Dimension (0 or 1) of the morphism space g -> d.
+
+    Nonzero exactly when g and the predecessor shift of d, whose keys are
+    read off d's, fall in a case of `ext_case` (uncompleted: they cross).
+    """
     if g.surface is not d.surface:
         raise MixedSurfaceError("arcs on different surfaces")
-    if g.surface.completed:
-        return 0 if ext_case(g, shift_arc(d, -1)) is ExtCase.NONE else 1
-    return 1 if cross_transverse(g, shift_arc(d, -1)) else 0
+    ka, kb = d.ka, d.kb
+    u = (ka[0], ka[1] - 1) if ka[0] % 2 else ka
+    v = (kb[0], kb[1] - 1) if kb[0] % 2 else kb
+    return 0 if _key_case(g.ka, g.kb, u, v) is ExtCase.NONE else 1
 
 
 def ext_case(g: Arc, d: Arc) -> ExtCase:
@@ -150,20 +168,7 @@ def ext_case(g: Arc, d: Arc) -> ExtCase:
         raise MixedSurfaceError("arcs on different surfaces")
     if not g.surface.completed:
         raise ValueError("ext_case applies to completed arcs")
-    if cross_transverse(g, d):
-        return ExtCase.CROSSING
-    if g == d:
-        if g.a.pos is None and g.b.pos is None:
-            return ExtCase.DOUBLE_ACCUMULATION_SELF
-        return ExtCase.NONE
-    shared = [p for p in g.endpoints if d.has_endpoint(p)]
-    if len(shared) == 1 and shared[0].pos is None:
-        p = shared[0]
-        a = g.other_endpoint(p)
-        b = d.other_endpoint(p)
-        if a != b and _orient(p.circuit_key(), b.circuit_key(), a.circuit_key()):
-            return ExtCase.CLOCKWISE_AT_ACCUMULATION
-    return ExtCase.NONE
+    return _key_case(g.ka, g.kb, d.ka, d.kb)
 
 
 def ext_ambient_dim(g: Arc, d: Arc) -> int:
@@ -252,16 +257,6 @@ def factors_over(g: Arc, d: Arc, family: ArcClass | None = None) -> bool:
     raise ValueError(f"unsupported arc family {family}")
 
 
-@lru_cache(maxsize=None)
-def _oracle_lift(g: Arc) -> Arc:
-    return canonical_lift(g)
-
-
-@lru_cache(maxsize=None)
-def _oracle_shifted_lift(d: Arc) -> Arc:
-    return shift_arc(canonical_lift(d), 1)
-
-
 def ext_dim_oracle(g: Arc, d: Arc, lift_g: Arc | None = None, lift_d: Arc | None = None) -> int:
     """Recompute the restricted extension dimension from first principles.
 
@@ -280,8 +275,8 @@ def ext_dim_oracle(g: Arc, d: Arc, lift_g: Arc | None = None, lift_d: Arc | None
         raise ValueError("lift_d does not lie over d")
     if ext_case(g, d) is ExtCase.NONE:
         return 0
-    lg = _oracle_lift(g) if lift_g is None else lift_g
-    sld = _oracle_shifted_lift(d) if lift_d is None else shift_arc(lift_d, 1)
+    lg = canonical_lift(g) if lift_g is None else lift_g
+    sld = shift_arc(canonical_lift(d) if lift_d is None else lift_d, 1)
     if hom_dim(lg, sld) != 1:
         return 0
     i0, i1 = sweep_intervals(lg, sld)

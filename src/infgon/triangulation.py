@@ -12,6 +12,7 @@ linear feasibility in the family parameters, decided exactly by
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -67,6 +68,12 @@ def require_window_points(m: int) -> None:
     """Refuse a brute-force enumeration over a window of m points above the limit."""
     if m > WINDOW_POINT_LIMIT:
         raise ResourceLimitError(f"window has {m} points, limit is {WINDOW_POINT_LIMIT}")
+
+
+def require_generators(count: int) -> None:
+    """Refuse a triangulation of more than GENERATOR_LIMIT generators."""
+    if count > GENERATOR_LIMIT:
+        raise ResourceLimitError(f"triangulation has {count} generators, limit is {GENERATOR_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -339,8 +346,7 @@ class Triangulation:
     certificate: Certificate = UNVERIFIED
 
     def __post_init__(self) -> None:
-        if len(self.generators) > GENERATOR_LIMIT:
-            raise ResourceLimitError(f"triangulation has {len(self.generators)} generators, limit is {GENERATOR_LIMIT}")
+        require_generators(len(self.generators))
         for gen in self.generators:
             if isinstance(gen, Single):
                 if gen.arc.surface is not self.surface:
@@ -488,8 +494,9 @@ def build_fountain(surface: Surface, base: Point) -> Triangulation:
         raise ValueError("fountains are built on completed surfaces")
     if base.surface is not surface:
         raise ValueError("base point on the wrong surface")
-    gens: list[Generator] = []
     n = surface.intervals
+    require_generators(2 * n + 1 if base.pos is not None else 2 * n - 1)
+    gens: list[Generator] = []
     if base.pos is not None:
         k, p = base.interval, base.pos
         gens.append(Family(base, Moving(k, p + 2, 1), IntRange(0, None)))
@@ -637,6 +644,11 @@ def build_zigzag_leapfrog(
 def canonical_zigzag(surface: Surface | None = None) -> Triangulation:
     """The standard infinite ladder on one interval, both tails at the gap."""
     surface = surface or Surface(True, 1)
+    if surface.intervals > 1:
+        raise ValueError(
+            f"the zigzag is maximal only on one interval, not on {surface.describe()}: "
+            "no ladder arc reaches interval 2, so 2:0-2:2 crosses nothing"
+        )
     alpha = Family(Moving(1, 0, 1), Moving(1, 0, -1), IntRange(1, None))
     beta = Family(Moving(1, 1, 1), Moving(1, 0, -1), IntRange(1, None))
     return build_zigzag_leapfrog(surface, alpha, beta)
@@ -953,10 +965,17 @@ def _endpoint_to_json(e: Endpoint):
     return format_point(e)
 
 
+def _json_value(value, kind: type, field: str):
+    """A JSON value of exactly this type: a bool or a float is not an int."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be a JSON {kind.__name__}, got {reprlib.repr(value)}")
+    return value
+
+
 def _endpoint_from_json(surface: Surface, obj) -> Endpoint:
     if isinstance(obj, str):
         return parse_point(surface, obj)
-    return Moving(int(obj["interval"]), int(obj["base"]), int(obj["stride"]))
+    return Moving(*(_json_value(obj[f], int, f"moving endpoint {f}") for f in ("interval", "base", "stride")))
 
 
 def triangulation_to_json(t: Triangulation) -> dict:
@@ -983,19 +1002,19 @@ def triangulation_to_json(t: Triangulation) -> dict:
 
 
 def triangulation_from_json(doc: dict) -> Triangulation:
-    surface = parse_surface(doc["surface"])
+    surface = parse_surface(_json_value(doc["surface"], str, "surface"))
     gens: list[Generator] = []
     for item in doc["generators"]:
         if "single" in item:
-            gens.append(Single(parse_arc(surface, item["single"])))
+            gens.append(Single(parse_arc(surface, _json_value(item["single"], str, "single arc"))))
         elif "family" in item:
             f = item["family"]
-            lo, hi = f["domain"]
+            lo, hi = (None if b is None else _json_value(b, int, "domain bound") for b in f["domain"])
             gens.append(
                 Family(
                     _endpoint_from_json(surface, f["e0"]),
                     _endpoint_from_json(surface, f["e1"]),
-                    IntRange(None if lo is None else int(lo), None if hi is None else int(hi)),
+                    IntRange(lo, hi),
                 )
             )
         else:
@@ -1005,7 +1024,7 @@ def triangulation_from_json(doc: dict) -> Triangulation:
     if spec == "maximal":
         cert = CERTIFIED_MAXIMAL
     elif isinstance(spec, dict) and "window" in spec:
-        pts = tuple(parse_point(surface, s) for s in spec["window"])
+        pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in spec["window"])
         cert = Certificate(CertificateStatus.WINDOW_CHECKED, Window(surface, pts))
     t = Triangulation(surface, tuple(gens), cert)
     # a file's certificate is a claim from outside: at least re-check that

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from infgon import triangulation
 from infgon.acceptance import is_weak_ct
 from infgon.cli import main
 from infgon.render import RADIUS_LIMIT
@@ -95,6 +100,113 @@ def test_validate_and_exit_codes(tmp_path, capsys):
         assert code == 2 and captured.out == "", bad
         assert captured.err.startswith("error: ") and named in captured.err
         assert "Traceback" not in captured.err
+
+
+def _family_doc(base, domain) -> dict:
+    moving = {"interval": 1, "base": base, "stride": 1}
+    return {"surface": "completed:1", "generators": [{"family": {"e0": "a1", "e1": moving, "domain": domain}}]}
+
+
+def test_json_numbers_and_nesting_are_checked(tmp_path, capsys):
+    """Only JSON integers are read as integers, and deep nesting is bad input."""
+    cases = (
+        ("[" * 200_000, "nested too deeply"),
+        (json.dumps(_family_doc(0, [0, float("inf")])), "domain bound must be a JSON int, got inf"),
+        (json.dumps(_family_doc(2.7, [0, None])), "moving endpoint base must be a JSON int, got 2.7"),
+        (json.dumps(_family_doc(True, [0, None])), "moving endpoint base must be a JSON int, got True"),
+    )
+    for i, (text, named) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(text)
+        code = main(["validate", "--triangulation", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), named
+        assert captured.err.startswith("error: ") and named in captured.err
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_family_doc(2, [0, None])))
+    assert run_json(capsys, "validate", "--triangulation", str(path)) == (0, {"ok": True})
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(["completed:1", "uncompleted:2", "1:0", "a1", "1:0-1:2", "maximal"]),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+_small_ints = st.one_of(st.integers(-3, 3), _json_values)
+_endpoints = st.one_of(
+    st.sampled_from(["1:0", "1:3", "2:1", "a1", "a2"]),
+    st.fixed_dictionaries({"interval": _small_ints, "base": _small_ints, "stride": _small_ints}),
+    _json_values,
+)
+_families = st.fixed_dictionaries(
+    {"e0": _endpoints, "e1": _endpoints, "domain": st.one_of(st.lists(st.one_of(st.none(), _small_ints), max_size=3), _json_values)}
+)
+_generators = st.one_of(
+    st.fixed_dictionaries({"single": st.one_of(st.sampled_from(["1:0-1:2", "1:1-a1", "a1-a2"]), _json_values)}),
+    st.fixed_dictionaries({"family": st.one_of(_families, _json_values)}),
+    _json_values,
+)
+_documents = st.one_of(
+    _json_values,
+    st.fixed_dictionaries(
+        {
+            "surface": st.one_of(st.sampled_from(["completed:1", "completed:2", "uncompleted:2"]), _json_values),
+            "generators": st.one_of(st.lists(_generators, max_size=3), _json_values),
+        },
+        optional={"certificate": st.one_of(st.just("maximal"), st.fixed_dictionaries({"window": _json_values}), _json_values)},
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents)
+def test_any_json_document_gets_an_exit_code(doc):
+    """Every JSON document, Infinity and NaN included, exits 0, 1 or 2 without a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--triangulation", str(path)]) in (0, 1, 2)
+
+
+def test_builder_specs_are_refused_before_building(capsys, monkeypatch):
+    """A fountain over the generator limit and a zigzag on more than one interval build nothing."""
+
+    def refuse(*args, **kw):
+        raise AssertionError("built a generator of a refused spec")
+
+    monkeypatch.setattr(triangulation, "Single", refuse)
+    monkeypatch.setattr(triangulation, "Family", refuse)
+    monkeypatch.setattr(triangulation, "Moving", refuse)
+    for spec, named in (
+        ("fountain(completed:200000,1:0)", "triangulation has 400001 generators, limit is 200"),
+        ("fountain(completed:101,a1)", "triangulation has 201 generators, limit is 200"),
+        ("zigzag(completed:2)", "zigzag is maximal only on one interval, not on completed:2"),
+        ("zigzag(completed:100000)", "no ladder arc reaches interval 2"),
+    ):
+        code = main(["leapfrog", "--triangulation", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), spec
+        assert named in captured.err
+
+
+def test_fountain_generator_count_is_known_before_building(monkeypatch):
+    # the count read off the spec is the count built, so the limit bites exactly at it
+    for n in (1, 2, 3):
+        s = Surface(True, n)
+        for base, count in ((s.point(1, 0), 2 * n + 1), (s.accumulation(1), 2 * n - 1)):
+            assert len(triangulation.build_fountain(s, base).generators) == count
+            monkeypatch.setattr(triangulation, "GENERATOR_LIMIT", count - 1)
+            with pytest.raises(triangulation.ResourceLimitError, match=f"has {count} generators"):
+                triangulation.build_fountain(s, base)
+            monkeypatch.undo()
 
 
 def test_flip_roundtrip_through_files(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import all_window_arcs, surface_and_arcs
-from infgon.arcs import Arc, ArcClass, canonical_lift, parse_arc, shift_arc
+from infgon.arcs import Arc, ArcClass, canonical_lift, cross_transverse, parse_arc, shift_arc
 from infgon.homs import (
     ExtCase,
     exchange_triangles,
@@ -16,7 +16,7 @@ from infgon.homs import (
     sweep_contains,
     sweep_intervals,
 )
-from infgon.surface import Point, Surface
+from infgon.surface import Point, Surface, _orient
 
 C1 = Surface(True, 1)
 C2 = Surface(True, 2)
@@ -46,6 +46,56 @@ def test_hom_completed_examples():
     assert hom_dim(g, shift_arc(g, 1)) == 0
     both = parse_arc(C2, "a1-a2")
     assert hom_dim(both, both) == 1  # the shift fixes this arc
+
+
+def _point_level_ext_case(g: Arc, d: Arc) -> ExtCase:
+    """The reference route: ext_case decided on the endpoints, not on the stored keys."""
+    if cross_transverse(g, d):
+        return ExtCase.CROSSING
+    if g == d:
+        if g.a.pos is None and g.b.pos is None:
+            return ExtCase.DOUBLE_ACCUMULATION_SELF
+        return ExtCase.NONE
+    shared = [p for p in g.endpoints if d.has_endpoint(p)]
+    if len(shared) == 1 and shared[0].pos is None:
+        p = shared[0]
+        a = g.other_endpoint(p)
+        b = d.other_endpoint(p)
+        if a != b and _orient(p.circuit_key(), b.circuit_key(), a.circuit_key()):
+            return ExtCase.CLOCKWISE_AT_ACCUMULATION
+    return ExtCase.NONE
+
+
+_BOUND3_SURFACES = [Surface(True, n) for n in (1, 2, 3)] + [Surface(False, n) for n in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("surface", _BOUND3_SURFACES, ids=Surface.describe)
+def test_key_level_hom_and_ext_match_their_definitions(surface):
+    """hom_dim is its definition through the predecessor shift, and ext_case
+    answers like the point-level route, on every ordered pair of the window."""
+    arcs = all_window_arcs(surface, 3)
+    for g in arcs:
+        for d in arcs:
+            shifted = shift_arc(d, -1)
+            if surface.completed:
+                assert ext_case(g, d) is _point_level_ext_case(g, d), (g, d)
+                assert hom_dim(g, d) == (ext_case(g, shifted) is not ExtCase.NONE), (g, d)
+            else:
+                assert hom_dim(g, d) == cross_transverse(g, shifted), (g, d)
+
+
+def test_hom_dim_builds_nothing(monkeypatch):
+    arcs = all_window_arcs(C2, 3) + all_window_arcs(U2, 3)
+
+    def refuse(*args, **kw):
+        raise AssertionError("hom_dim built an arc or a point")
+
+    monkeypatch.setattr(Arc, "__init__", refuse)
+    monkeypatch.setattr(Arc, "_trusted", refuse)
+    monkeypatch.setattr(Point, "_make", refuse)
+    monkeypatch.setattr(Point, "__new__", refuse)
+    answers = [hom_dim(g, d) for g in arcs for d in arcs if g.surface is d.surface]
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_ext_examples():
