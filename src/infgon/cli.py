@@ -110,6 +110,14 @@ def _load_triangulation(token: str) -> Triangulation:
         raise UsageError(f"triangulation {token!r}: nested too deeply")
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out {path!r}: cannot write the file ({exc.strerror})")
+
+
 def _arc_pair(args) -> tuple[Arc, Arc]:
     surface = parse_surface(args.surface)
     return parse_arc(surface, args.src), parse_arc(surface, args.dst)
@@ -285,8 +293,7 @@ def _cmd_flip(args) -> int:
         ],
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(triangulation_to_json(res.new_triangulation), fh, sort_keys=True, indent=1)
+        _write_out(args.out, json.dumps(triangulation_to_json(res.new_triangulation), sort_keys=True, indent=1))
         payload["written"] = args.out
     _emit(payload, args.pretty)
     return EXIT_OK
@@ -314,8 +321,7 @@ def _cmd_render(args) -> int:
         subject = [parse_arc(surface, tok) for tok in args.arcs]
     spec = RenderSpec(radius=args.radius, highlight=tuple(parse_arc(surface, h) for h in args.highlight))
     svg = render_svg(subject, spec, surface=surface)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_out(args.out, svg)
     _emit(
         {
             "written": args.out,

@@ -30,7 +30,6 @@ from .triangulation import (
     family_param_of,
     limit_of_family,
     neighbor_scan,
-    validate_non_crossing,
 )
 
 
@@ -206,9 +205,6 @@ def flip(t: Triangulation, a: Arc) -> MutationResult:
     new_arc = Arc(frame.u_right, frame.v_right)
     gens = _remove_arc(t, a) + (Single(new_arc),)
     new_t = Triangulation(t.surface, gens, t.certificate)
-    report = validate_non_crossing(new_t)
-    if not report.ok:
-        raise AssertionError(f"flip produced a crossing: {report.witness}")
     sides = exchange_triangles(a, new_arc)
     conflations = (
         Conflation(a, sides.beta, new_arc),

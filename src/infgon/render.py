@@ -14,10 +14,11 @@ from typing import Sequence, Union
 
 from .arcs import Arc, arc_key
 from .surface import Point, Surface
-from .triangulation import Family, Triangulation, Window, _escape, visible_params
+from .triangulation import Family, ResourceLimitError, Triangulation, Window, _escape, visible_params
 
 SIZE = 420  # width and height of the picture, in pixels
 RADIUS_LIMIT = 100  # largest window radius: 606 points on completed:3, under 2 px apart
+POINT_LIMIT = 606  # most window points drawn, whatever the radius and surface
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,13 @@ def _truncation_gaps(t: Triangulation, window: Window) -> list[int]:
     return sorted(gaps)
 
 
+def _render_window(surface: Surface, radius: int) -> Window:
+    size = Window.symmetric_size(surface, radius)
+    if size > POINT_LIMIT:
+        raise ResourceLimitError(f"render window has {size} points, limit is {POINT_LIMIT}")
+    return Window.symmetric(surface, radius)
+
+
 def render_svg(
     subject: Union[Triangulation, Sequence[Arc]],
     spec: RenderSpec,
@@ -116,7 +124,7 @@ def render_svg(
 ) -> str:
     if isinstance(subject, Triangulation):
         surface = subject.surface
-        window = Window.symmetric(surface, spec.radius)
+        window = _render_window(surface, spec.radius)
         arcs = sorted(subject.arcs_in_window(window), key=arc_key)
         trunc_gaps = _truncation_gaps(subject, window)
     else:
@@ -125,7 +133,7 @@ def render_svg(
             surface = arcs[0].surface
         elif surface is None:
             raise ValueError("rendering an empty arc list needs an explicit surface")
-        window = Window.symmetric(surface, spec.radius)
+        window = _render_window(surface, spec.radius)
         arcs = [a for a in arcs if a.a in window.points and a.b in window.points]
         trunc_gaps = []
 

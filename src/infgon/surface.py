@@ -212,10 +212,16 @@ def format_point(p: Point) -> str:
 
 
 _SURFACE_RE = re.compile(r"^(uncompleted|completed):(\d+)$")
+# a swept boundary interval is decomposed interval by interval, so one
+# ext-oracle query on completed:200000 takes about 1 s and 150 MB
+INTERVAL_LIMIT = 200_000
 
 
 def parse_surface(text: str) -> Surface:
     m = _SURFACE_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse surface {text!r} (expected 'completed:n' or 'uncompleted:m')")
-    return Surface(m.group(1) == "completed", int(m.group(2)))
+    n = int(m.group(2))
+    if n > INTERVAL_LIMIT:
+        raise ValueError(f"surface {text.strip()!r} has {n} intervals, limit is {INTERVAL_LIMIT}")
+    return Surface(m.group(1) == "completed", n)

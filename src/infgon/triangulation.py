@@ -333,12 +333,14 @@ def _invalid_family_param(surface: Surface, fam: Family) -> Optional[int]:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Surface plus generator list; crossing freedom is checked separately.
+    """Surface plus generator list, optionally carrying a certificate.
 
-    Construction validates structure only: families instantiate to genuine
-    arcs everywhere and no arc is presented twice.  Use
-    :func:`validate_non_crossing` for the geometric condition, and the
-    builders for certified maximal collections.
+    Construction checks that families instantiate to genuine arcs everywhere
+    and that no arc is presented twice.  A triangulation that carries a
+    certificate is also checked for crossings, and raises
+    :class:`CrossingError` with the witness pair.  An uncertified one may
+    cross; :func:`validate_non_crossing` reports that.  Use the builders for
+    certified maximal collections.
     """
 
     surface: Surface
@@ -367,6 +369,12 @@ class Triangulation:
                 dup = duplicate_witness(self.surface, gens[i], gens[j])
                 if dup is not None:
                     raise DuplicateArcError(f"arc {format_arc(dup)} appears in two generators")
+        # a certificate is a claim, whether a builder or a file makes it: at
+        # least check that the arcs it certifies do not cross
+        if self.certificate.status is not CertificateStatus.UNVERIFIED:
+            report = validate_non_crossing(self)
+            if not report.ok:
+                raise CrossingError(*report.witness)
 
     def contains(self, arc: Arc) -> bool:
         if arc.surface is not self.surface:
@@ -400,9 +408,6 @@ class Triangulation:
                 if arc.a in pts and arc.b in pts:
                     out.add(arc)
         return frozenset(out)
-
-    def with_certificate(self, certificate: Certificate) -> "Triangulation":
-        return Triangulation(self.surface, self.generators, certificate)
 
 
 def visible_params(fam: Family, window: Window) -> IntRange:
@@ -467,13 +472,6 @@ def validate_non_crossing(t: Triangulation) -> NonCrossingReport:
     return NonCrossingReport(True)
 
 
-def _require_non_crossing(t: Triangulation) -> Triangulation:
-    report = validate_non_crossing(t)
-    if not report.ok:
-        raise CrossingError(*report.witness)
-    return t
-
-
 def arc_crossing_in(t: Triangulation, arc: Arc) -> Optional[Arc]:
     """Some instance of t crossing the given arc, or None."""
     if arc.surface is not t.surface:
@@ -510,7 +508,7 @@ def build_fountain(surface: Surface, base: Point) -> Triangulation:
             gens.append(Family(base, Moving(j, 0, 1), FULL_RANGE))
             if j != base.interval:
                 gens.append(Single(Arc(base, Point(surface, j, None))))
-    return _require_non_crossing(Triangulation(surface, tuple(gens), CERTIFIED_MAXIMAL))
+    return Triangulation(surface, tuple(gens), CERTIFIED_MAXIMAL)
 
 
 def _escape(m: Moving, direction: int, n: int) -> tuple[int, bool]:
@@ -622,14 +620,11 @@ def build_zigzag_leapfrog(
     be infinite and genuinely leaping, and checks that the closing arcs
     finish the bounded pocket, so the result is certified maximal.
     """
-    gens: tuple[Generator, ...] = (alpha, beta, *(Single(a) for a in closing))
-    t = Triangulation(surface, gens)
     if _chain_alignment(alpha, beta) is None:
         raise LeapfrogError("families are not tip-to-tip aligned")
-    witness = _pair_leapfrog(surface, alpha, beta)
-    if witness is None:
+    if _pair_leapfrog(surface, alpha, beta) is None:
         raise LeapfrogError("chain is finite or degenerates to a scallop run; not an infinite leapfrog")
-    _require_non_crossing(t)
+    t = Triangulation(surface, (alpha, beta, *(Single(a) for a in closing)), CERTIFIED_MAXIMAL)
     bound = 2 + max(
         (abs(e.base) for g in (alpha, beta) for e in (g.e0, g.e1) if isinstance(e, Moving)),
         default=0,
@@ -638,7 +633,7 @@ def build_zigzag_leapfrog(
     check_window = Window.symmetric(surface, bound)
     if not window_check(t, check_window):
         raise LeapfrogError("closing arcs do not triangulate the complementary regions")
-    return t.with_certificate(CERTIFIED_MAXIMAL)
+    return t
 
 
 def canonical_zigzag(surface: Surface | None = None) -> Triangulation:
@@ -731,7 +726,7 @@ def window_check(t: Triangulation, w: Window) -> bool:
 def from_window_set(w: Window, arcs: Iterable[Arc]) -> Triangulation:
     """Package a maximal window arc set as a window-checked triangulation."""
     gens = tuple(Single(a) for a in sorted(set(arcs), key=arc_key))
-    t = _require_non_crossing(Triangulation(w.surface, gens, Certificate(CertificateStatus.WINDOW_CHECKED, w)))
+    t = Triangulation(w.surface, gens, Certificate(CertificateStatus.WINDOW_CHECKED, w))
     if not window_check(t, w):
         raise TriangulationError("arc set is not maximal within its window")
     return t
@@ -1026,7 +1021,4 @@ def triangulation_from_json(doc: dict) -> Triangulation:
     elif isinstance(spec, dict) and "window" in spec:
         pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in spec["window"])
         cert = Certificate(CertificateStatus.WINDOW_CHECKED, Window(surface, pts))
-    t = Triangulation(surface, tuple(gens), cert)
-    # a file's certificate is a claim from outside: at least re-check that
-    # the arcs it certifies do not cross
-    return t if cert is UNVERIFIED else _require_non_crossing(t)
+    return Triangulation(surface, tuple(gens), cert)

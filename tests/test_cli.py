@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from infgon import triangulation
 from infgon.acceptance import is_weak_ct
 from infgon.cli import main
-from infgon.render import RADIUS_LIMIT
+from infgon.render import POINT_LIMIT, RADIUS_LIMIT
 from infgon.surface import Surface
 from infgon.triangulation import GENERATOR_LIMIT, Window, window_arcs, window_brute_force
 
@@ -328,6 +330,46 @@ def test_render_radius_limit(tmp_path, capsys):
     assert code == 0 and payload["points"] == 3 * (2 * RADIUS_LIMIT + 1) + 3
 
 
+def test_render_point_limit_is_checked_before_building(tmp_path, capsys, monkeypatch):
+    assert POINT_LIMIT == Window.symmetric_size(Surface(True, 3), RADIUS_LIMIT)
+    built = []
+    monkeypatch.setattr(Window, "symmetric", lambda *args, **kw: built.append(args))
+    out = tmp_path / "pic.svg"
+    for argv, points in (
+        (["--surface", "completed:20000", "--radius", "2"], 120000),
+        (["--triangulation", "fountain(completed:4,1:0)", "--radius", str(RADIUS_LIMIT)], 808),
+    ):
+        code = main(["render", *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, built) == (2, "", [])
+        assert captured.err == f"error: render window has {points} points, limit is {POINT_LIMIT}\n"
+        assert not out.exists()
+
+
+def test_surface_interval_limit(capsys):
+    # the oracle decomposes a swept interval interval by interval
+    huge = "completed:" + "9" * 30
+    for surface, n in ((huge, int("9" * 30)), ("uncompleted:200001", 200001)):
+        code = main(["ext-oracle", "--surface", surface, "--from", "1:-1-1:1", "--to", "1:0-a1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: surface {surface!r} has {n} intervals, limit is 200000\n"
+    assert run_json(capsys, "hom", "--surface", "completed:200000", "--from", "1:0-a1", "--to", "1:0-a1") == (0, {"dim": 1})
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "x"
+    for argv, path, reason in (
+        (["flip", "--triangulation", "fountain(completed:1,1:0)", "--arc", "1:0-1:5"], f"{missing}.json", "No such file or directory"),
+        (["render", "--triangulation", "fountain(completed:1,1:0)"], f"{missing}.svg", "No such file or directory"),
+        (["render", "--surface", "completed:1"], str(tmp_path), "Is a directory"),
+    ):
+        code = main([*argv, "--out", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == f"error: --out {path!r}: cannot write the file ({reason})\n"
+
+
 def test_usage_errors(capsys):
     assert main(["no-such-verb"]) == 2
     code, _ = run(capsys, "ext", "--surface", "completed:2", "--from", "bogus", "--to", "1:0-2:0")
@@ -352,3 +394,87 @@ def test_verify_suite_smoke(capsys):
     # stdout is one JSON document, like every other verb; the lines go to stderr
     assert json.loads(captured.out) == {"failed": 0, "level": "smoke", "passed": 11}
     assert sum(1 for line in captured.err.splitlines() if line.startswith("PASS")) == 11
+
+
+# valid tokens are listed several times, so most runs get past parsing
+_surfaces = st.sampled_from(
+    ["completed:1", "completed:2", "completed:3", "uncompleted:1", "uncompleted:2", "uncompleted:4"] * 3
+    + ["completed:0", "completed:x", "torus:1", "", "completed:1000", "completed:200001", "completed:" + "9" * 30,
+       "uncompleted:" + "9" * 30]
+)
+_points = st.sampled_from(
+    ["1:0", "1:1", "1:2", "1:5", "1:-1", "1:-3", "2:0", "2:1", "3:-1", "a1", "a2", "a3"] * 2
+    + ["a4", "0:0", "1:x", "", "1:" + "9" * 25]
+)
+_arcs = st.one_of(
+    st.builds("{}-{}".format, _points, _points),
+    st.sampled_from(["1:0-1:5", "1:0-a1", "1:-1-1:1", "1:0-2:0", "a1-a2", "1:0", "-", "1:0--1:2"]),
+)
+_ints = st.sampled_from([str(i) for i in range(-2, 4)] * 2 + ["x", "", "10" * 20])
+_radii = st.sampled_from(["-1", "0", "2", "3", "5", "101", "x"])
+_builders = st.one_of(
+    st.builds("fountain({},{})".format, _surfaces, _points),
+    st.builds("zigzag({})".format, _surfaces),
+)
+_FILES = ("good.json", "crossing.json", "crossing_maximal.json", "missing.json", ".")
+_OUTS = ("out.txt", ".", "no_such_dir/out.txt")
+
+
+def _verb_argv(files):
+    triangulations = st.one_of(_builders, st.sampled_from(files))
+    tri_arc = st.tuples(st.just("--triangulation"), triangulations, st.just("--arc"), _arcs)
+    pair = st.tuples(st.just("--surface"), _surfaces, st.just("--from"), _arcs, st.just("--to"), _arcs)
+    outs = st.sampled_from(_OUTS).map(lambda name: str(Path(files[0]).parent / name))
+    verbs = {
+        "hom": pair, "ext": pair, "ext-oracle": pair, "cross": pair,
+        "factor": st.tuples(pair, st.just("--family"), st.sampled_from(["all", "collapsing", "persistent", "x"])),
+        "classify": st.tuples(st.just("--surface"), _surfaces, st.just("--arc"), _arcs),
+        "validate": st.tuples(st.just("--triangulation"), triangulations),
+        "window-ct": st.tuples(st.just("--surface"), _surfaces, st.just("--bound"), _ints,
+                               st.sampled_from([(), ("--no-accumulation",)])),
+        "leapfrog": st.tuples(st.just("--triangulation"), triangulations),
+        "limit": st.tuples(st.just("--surface"), _surfaces, st.just("--fixed"), _points, st.just("--interval"), _ints,
+                           st.just("--base"), _ints, st.just("--stride"), _ints,
+                           st.sampled_from([(), ("--lo", "0"), ("--hi", "-1"), ("--lo", "1", "--hi", "x")]),
+                           st.sampled_from([(), ("--end", "1"), ("--end", "-1"), ("--end", "2")])),
+        "frame": tri_arc, "mutable": tri_arc, "approx-object": tri_arc,
+        "approx": st.tuples(tri_arc, st.just("--side"), st.sampled_from(["left", "right", "up"])),
+        "flip": st.tuples(tri_arc, st.one_of(st.just(()), st.tuples(st.just("--out"), outs))),
+        "render": st.tuples(
+            st.one_of(st.tuples(st.just("--triangulation"), triangulations),
+                      st.tuples(st.just("--surface"), _surfaces, st.just("--arcs"), st.lists(_arcs, max_size=2))),
+            st.just("--radius"), _radii, st.just("--out"), outs,
+        ),
+    }
+
+    def flatten(parts):
+        return [x for p in parts for x in (flatten(p) if isinstance(p, (tuple, list)) else [p])]
+
+    return st.one_of(*(args.map(lambda a, verb=verb: [verb, *flatten(a)]) for verb, args in verbs.items()))
+
+
+@pytest.fixture(scope="module")
+def token_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tokens")
+    crossing = {"surface": "completed:1", "generators": [{"single": "1:0-1:2"}, {"single": "1:1-1:3"}]}
+    (root / "good.json").write_text(json.dumps(triangulation.triangulation_to_json(
+        triangulation.build_fountain(Surface(True, 1), Surface(True, 1).point(1, 0)))))
+    (root / "crossing.json").write_text(json.dumps(crossing))
+    (root / "crossing_maximal.json").write_text(json.dumps({**crossing, "certificate": "maximal"}))
+    return [str(root / name) for name in _FILES]
+
+
+_VERIFYING_VERBS = {"validate", "window-ct", "flip"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_cli_tokens_get_an_exit_code(token_files, data):
+    """Every verb but verify-suite exits 0, 1 or 2 on any tokens; only the checking verbs exit 1."""
+    argv = data.draw(_verb_argv(token_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert code != 1 or argv[0] in _VERIFYING_VERBS, argv
+    assert code != 2 or out.getvalue() == "", argv

@@ -2,6 +2,7 @@
 
 import pytest
 
+from infgon import triangulation
 from infgon.arcs import Arc, arc_key, parse_arc, shift_arc
 from infgon.homs import ext_dim, hom_dim
 from infgon.mutation import (
@@ -159,6 +160,15 @@ def test_mutability_fountain():
     assert is_mutable(t, parse_arc(C1, "1:0-1:5"))
     ok, reason, _ = mutability_report(t, parse_arc(C1, "1:0-a1"))
     assert not ok and reason == "NoExtremum"
+
+
+def test_flip_checks_crossings_once(monkeypatch):
+    t = fountain1()
+    calls = []
+    real = triangulation.validate_non_crossing
+    monkeypatch.setattr(triangulation, "validate_non_crossing", lambda t: calls.append(t) or real(t))
+    res = flip(t, parse_arc(C1, "1:0-1:5"))
+    assert calls == [res.new_triangulation]
 
 
 def test_flip_fountain_and_surgery():

@@ -1,12 +1,16 @@
 """Symbolic triangulations: builders, validation, scans, limits, leapfrogs."""
 
+import dataclasses
 import json
 
 import pytest
 
+from infgon import triangulation
 from infgon.arcs import Arc, cross_transverse, format_arc, parse_arc
 from infgon.surface import MixedSurfaceError, Point, Surface
 from infgon.triangulation import (
+    CERTIFIED_MAXIMAL,
+    Certificate,
     CertificateStatus,
     CrossingError,
     DuplicateArcError,
@@ -75,6 +79,48 @@ def test_validate_finds_crossing_witness():
     assert not report.ok
     w1, w2 = report.witness
     assert cross_transverse(w1, w2)
+
+
+def _crossing_pair():
+    return tuple(Single(parse_arc(C1, text)) for text in ("1:0-1:2", "1:1-1:3"))
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [CERTIFIED_MAXIMAL, Certificate(CertificateStatus.WINDOW_CHECKED, Window.symmetric(C1, 3))],
+    ids=["maximal", "window-checked"],
+)
+def test_certified_triangulation_may_not_cross(certificate):
+    with pytest.raises(CrossingError, match="^arcs cross: 1:0-1:2 and 1:1-1:3$") as err:
+        Triangulation(C1, _crossing_pair(), certificate)
+    assert err.value.witness == tuple(g.arc for g in _crossing_pair())
+
+
+def test_adding_a_certificate_checks_crossings():
+    t = Triangulation(C1, _crossing_pair())
+    assert not validate_non_crossing(t).ok
+    with pytest.raises(CrossingError, match="arcs cross: 1:0-1:2 and 1:1-1:3"):
+        dataclasses.replace(t, certificate=CERTIFIED_MAXIMAL)
+
+
+def test_each_certified_construction_checks_crossings_once(monkeypatch):
+    w = Window.of_points([C1.point(1, i) for i in range(5)])
+    window_set = window_brute_force(w)[0]
+    certified = triangulation_to_json(fountain1())
+    uncertified = {k: v for k, v in certified.items() if k != "certificate"}
+    calls = []
+    real = triangulation.validate_non_crossing
+    monkeypatch.setattr(triangulation, "validate_non_crossing", lambda t: calls.append(t) or real(t))
+    for build, expected in (
+        (fountain1, 1),
+        (canonical_zigzag, 1),
+        (lambda: from_window_set(w, window_set), 1),
+        (lambda: triangulation_from_json(certified), 1),
+        (lambda: triangulation_from_json(uncertified), 0),
+    ):
+        calls.clear()
+        t = build()
+        assert calls == [t] * expected
 
 
 def test_duplicate_detection():
