@@ -69,6 +69,9 @@ class Arc:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("arcs are immutable")
 
+    def __reduce__(self):
+        return (Arc, (self.a, self.b))
+
     @property
     def endpoints(self) -> tuple[Point, Point]:
         return (self.a, self.b)

@@ -299,9 +299,6 @@ class ExchangeSides:
     alpha: tuple[Arc | None, Arc | None]
     beta: tuple[Arc | None, Arc | None]
 
-    def all_sides(self) -> tuple[Arc | None, ...]:
-        return (*self.alpha, *self.beta)
-
 
 def _side(p: Point, q: Point) -> Arc | None:
     if adjacent(p, q):

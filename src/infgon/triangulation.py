@@ -12,10 +12,12 @@ linear feasibility in the family parameters, decided exactly by
 
 from __future__ import annotations
 
+import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .affine import (
@@ -331,6 +333,10 @@ def _invalid_family_param(surface: Surface, fam: Family) -> Optional[int]:
     return None
 
 
+# an entry of the endpoint index: (generator position, partner point, partner circuit key)
+_Partner = tuple[int, Point, tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Surface plus generator list, optionally carrying a certificate.
@@ -341,18 +347,31 @@ class Triangulation:
     :class:`CrossingError` with the witness pair.  An uncertified one may
     cross; :func:`validate_non_crossing` reports that.  Use the builders for
     certified maximal collections.
+
+    Construction also indexes the generators: ``_ends`` maps the circuit key
+    of each endpoint of a ``Single`` to ``(generator position, partner,
+    partner key)`` entries in generator order, and ``_families`` holds the
+    ``(position, Family)`` generators.  The index takes no part in equality,
+    hashing, repr or JSON.
     """
 
     surface: Surface
     generators: tuple[Generator, ...]
     certificate: Certificate = UNVERIFIED
+    _ends: dict[tuple[int, int], list[_Partner]] = field(init=False, compare=False, repr=False)
+    _families: tuple[tuple[int, Family], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         require_generators(len(self.generators))
-        for gen in self.generators:
+        ends: dict[tuple[int, int], list[_Partner]] = {}
+        families: list[tuple[int, Family]] = []
+        for i, gen in enumerate(self.generators):
             if isinstance(gen, Single):
-                if gen.arc.surface is not self.surface:
+                arc = gen.arc
+                if arc.surface is not self.surface:
                     raise TriangulationError("generator arc on the wrong surface")
+                ends.setdefault(arc.ka, []).append((i, arc.b, arc.kb))
+                ends.setdefault(arc.kb, []).append((i, arc.a, arc.ka))
             else:
                 for e in (gen.e0, gen.e1):
                     if isinstance(e, Moving):
@@ -363,6 +382,9 @@ class Triangulation:
                 bad = _invalid_family_param(self.surface, gen)
                 if bad is not None:
                     raise TriangulationError(f"family degenerates at parameter {bad}")
+                families.append((i, gen))
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_families", tuple(families))
         gens = self.generators
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
@@ -379,13 +401,9 @@ class Triangulation:
     def contains(self, arc: Arc) -> bool:
         if arc.surface is not self.surface:
             return False
-        for gen in self.generators:
-            if isinstance(gen, Single):
-                if gen.arc == arc:
-                    return True
-            elif family_param_of(self.surface, gen, arc) is not None:
-                return True
-        return False
+        if any(k == arc.kb for _, _, k in self._ends.get(arc.ka, ())):
+            return True
+        return any(family_param_of(self.surface, gen, arc) is not None for _, gen in self._families)
 
     def arcs_in_window(self, window: Window) -> frozenset[Arc]:
         out: set[Arc] = set()
@@ -862,27 +880,31 @@ class NeighborScan:
     empty: bool
 
 
-def _partners(t: Triangulation, e: Point) -> tuple[list[Point], list[Progression]]:
-    singles: list[Point] = []
+def _partners(t: Triangulation, e: Point, ke: tuple[int, int]) -> tuple[Sequence[_Partner], list[Progression]]:
+    """Partners of e, whose circuit key is ke, in t.
+
+    Single partners come as ``(generator position, point, circuit key)`` in
+    generator order, read from the endpoint index and merged with the
+    instances of families moving through e; progressions are those of the
+    families fixed at e.
+    """
+    indexed = t._ends.get(ke, ())
+    if not t._families:
+        return indexed, []
+    singles = list(indexed)
     progs: list[Progression] = []
-    for gen in t.generators:
-        if isinstance(gen, Single):
-            if gen.arc.has_endpoint(e):
-                singles.append(gen.arc.other_endpoint(e))
-            continue
+    for i, gen in t._families:
         for this, other in ((gen.e0, gen.e1), (gen.e1, gen.e0)):
             if isinstance(this, Point):
                 if this == e:
                     assert isinstance(other, Moving)
                     progs.append(Progression(other.interval, other.base, other.stride, gen.domain))
-            else:
-                if e.pos is not None and e.interval == this.interval:
-                    tpar = this.param_for_pos(e.pos)
-                    if tpar is not None and gen.domain.contains(tpar):
-                        if isinstance(other, Moving):
-                            singles.append(Point(e.surface, other.interval, other.pos_at(tpar)))
-                        else:
-                            singles.append(other)
+            elif e.pos is not None and e.interval == this.interval:
+                tpar = this.param_for_pos(e.pos)
+                if tpar is not None and gen.domain.contains(tpar):
+                    q = Point(e.surface, other.interval, other.pos_at(tpar)) if isinstance(other, Moving) else other
+                    singles.append((i, q, q.circuit_key()))
+    singles.sort(key=itemgetter(0))  # stable: one family's two partners keep their order
     return singles, progs
 
 
@@ -891,64 +913,75 @@ def neighbor_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> Neig
 
     At an endpoint e of a = {e, o} the left side is the open boundary
     interval walked anticlockwise from e to o, and the right side is the
-    complementary open interval walked clockwise from e to o.  Partners are
-    listed in that walking order.  The extremum is the partner nearest o:
-    the largest position on the left, the smallest on the right.
+    complementary open interval walked clockwise from e to o.  The walk
+    passes accumulation points and runs of regular points of one interval in
+    turn.  Single partners and progressions are listed run by run in that
+    order, and in generator order within one run, not by position.  The
+    extremum is the partner nearest o: the largest position on the left, the
+    smallest on the right.
+
+    Single partners come from the endpoint index and are placed by a walking
+    key ``(lap, slot, pos)`` from e, negated on the clockwise side, where lap
+    counts passes over the start of the circuit; a partner lies on the side
+    when its key is below o's.  Only progressions are clipped run by run.
     """
-    if not a.has_endpoint(endpoint):
+    ke = endpoint.circuit_key()
+    if endpoint.surface is not a.surface or ke not in (a.ka, a.kb):
         raise ValueError("scan endpoint must belong to the arc")
-    other = a.other_endpoint(endpoint)
-    raw_singles, raw_progs = _partners(t, endpoint) if a.surface is t.surface else ([], [])
-    # a is in t exactly when other is one of the partners at endpoint.
-    if other not in raw_singles and not (
+    other, ko = (a.b, a.kb) if ke == a.ka else (a.a, a.ka)
+    singles, progs = _partners(t, endpoint, ke) if a.surface is t.surface else ((), [])
+    left = side is Side.LEFT
+    if left:
+        walk = lambda k: (k < ke, k[0], k[1])
+    else:
+        walk = lambda k: (k > ke, -k[0], -k[1])
+    far = walk(ko)
+    kept: list[tuple[tuple, Point]] = []
+    member = False  # a is in t exactly when other is one of the partners at endpoint
+    for _, p, k in singles:
+        w = walk(k)
+        if w < far:
+            kept.append((w, p))
+        elif k == ko:
+            member = True
+    if not member and not (
         other.pos is not None
         and any(pr.interval == other.interval and pr.clip_positions(other.pos, other.pos) is not None
-                for pr in raw_progs)
+                for pr in progs)
     ):
         raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
-    left = side is Side.LEFT
-    segs = open_interval_segments(endpoint, other) if left else open_interval_segments(other, endpoint)[::-1]
+    kept.sort(key=lambda c: c[0][:2])  # run by run; stable, so generator order within a run
+    # extremum candidates: (walking key, point), None for a progression running on towards o
+    candidates: list[tuple[tuple, Optional[Point]]] = list(kept)
 
-    kept_singles: list[Point] = []
     kept_progs: list[Progression] = []
-    per_seg: list[tuple[list[int], list[Progression], Optional[Point]]] = []
-    for seg in segs:
-        if seg[0] == "acc":
-            acc = Point(t.surface, seg[1], None)
-            hit = acc if acc in raw_singles else None
-            if hit is not None:
-                kept_singles.append(hit)
-            per_seg.append(([], [], hit))
-            continue
-        _, k, lo, hi = seg
-        poss = [p.pos for p in raw_singles if p.pos is not None and p.interval == k
-                and (lo is None or p.pos >= lo) and (hi is None or p.pos <= hi)]
-        clipped = [pr.clip_positions(lo, hi) for pr in raw_progs if pr.interval == k]
-        clipped = [c for c in clipped if c is not None]
-        kept_singles.extend(Point(t.surface, k, p) for p in poss)
-        kept_progs.extend(clipped)
-        per_seg.append((poss, clipped, None))
+    if progs:
+        segs = open_interval_segments(endpoint, other) if left else open_interval_segments(other, endpoint)[::-1]
+        for seg in segs:
+            if seg[0] == "acc":
+                continue
+            _, k, lo, hi = seg
+            clipped = [c for c in (pr.clip_positions(lo, hi) for pr in progs if pr.interval == k) if c is not None]
+            if not clipped:
+                continue
+            kept_progs.extend(clipped)
+            # Every position of one run has the same (lap, slot), so any set bound of the run gives it.  A
+            # run in e's interval always has a set bound (lo past e or hi before e at the near end, the
+            # other bound next to o when the walk wraps round to o), and that bound lies on the same side
+            # of e as the whole run.  A run with no bound set is a whole interval other than e's, where
+            # the slot alone fixes the lap.
+            run = walk((2 * k - 1, lo if lo is not None else hi if hi is not None else 0))[:2]
+            for pr in clipped:
+                r = pr.position_range()
+                bound = r.hi if left else r.lo
+                if bound is None:
+                    candidates.append((run + (math.inf,), None))
+                else:
+                    candidates.append((run + (bound if left else -bound,), Point(t.surface, k, bound)))
 
-    extremum: Optional[Point] = None
-    for seg, (poss, clipped, acc_hit) in zip(reversed(segs), reversed(per_seg)):
-        if acc_hit is not None:
-            extremum = acc_hit
-            break
-        if not poss and not clipped:
-            continue
-        bounds = list(poss)
-        for pr in clipped:
-            r = pr.position_range()
-            bound = r.hi if left else r.lo
-            if bound is None:
-                break  # the progression runs on towards o: no extremum
-            bounds.append(bound)
-        else:
-            extremum = Point(t.surface, seg[1], max(bounds) if left else min(bounds))
-        break
-
-    empty = not kept_singles and not kept_progs
-    return NeighborScan(a, endpoint, side, tuple(kept_singles), tuple(kept_progs), extremum, empty)
+    extremum = max(candidates, key=itemgetter(0))[1] if candidates else None
+    empty = not kept and not kept_progs
+    return NeighborScan(a, endpoint, side, tuple(p for _, p in kept), tuple(kept_progs), extremum, empty)
 
 
 # --- JSON round trip ----------------------------------------------------------
@@ -998,8 +1031,10 @@ def triangulation_to_json(t: Triangulation) -> dict:
 
 def triangulation_from_json(doc: dict) -> Triangulation:
     surface = parse_surface(_json_value(doc["surface"], str, "surface"))
+    items = _json_value(doc["generators"], list, "generators")
+    require_generators(len(items))  # before any entry is parsed
     gens: list[Generator] = []
-    for item in doc["generators"]:
+    for item in items:
         if "single" in item:
             gens.append(Single(parse_arc(surface, _json_value(item["single"], str, "single arc"))))
         elif "family" in item:

@@ -160,6 +160,17 @@ def test_arc_roundtrip():
         parse_arc(C2, "1:0")
 
 
+def test_arcs_copy_and_pickle_through_their_constructor():
+    import copy
+    import pickle
+
+    for text in ("1:0-2:3", "1:0-a1", "a1-a2"):
+        g = parse_arc(C2, text)
+        for back in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert back == g and hash(back) == hash(g) and (back.ka, back.kb) == (g.ka, g.kb)
+            assert back.surface is g.surface
+
+
 def test_key_primitives_match_their_definitions():
     """Crossing, arc order and adjacency read stored keys and positions; check
     them against their definitions on points, over whole windows."""

@@ -290,6 +290,26 @@ def test_generator_limit(tmp_path, capsys):
         assert captured.err == f"error: triangulation has {count} generators, limit is {GENERATOR_LIMIT}\n"
 
 
+def test_generator_list_is_checked_before_any_entry_is_parsed(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("parsed a generator entry")
+
+    monkeypatch.setattr(triangulation, "parse_arc", refuse)
+    over = {"surface": "completed:1", "generators": [{"single": "1:0-1:2"}] * (GENERATOR_LIMIT + 1)}
+    cases = (
+        (over, f"error: triangulation has {GENERATOR_LIMIT + 1} generators, limit is {GENERATOR_LIMIT}\n"),
+        ({"surface": "completed:1", "generators": {"single": "1:0-1:2"}},
+         "error: generators must be a JSON list, got {'single': '1:0-1:2'}\n"),
+        ({"surface": "completed:1", "generators": ""}, "error: generators must be a JSON list, got ''\n"),
+    )
+    path = tmp_path / "doc.json"
+    for doc, err in cases:
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--triangulation", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", err)
+
+
 def test_leapfrog_and_approx_object(capsys):
     code, payload = run_json(capsys, "leapfrog", "--triangulation", "zigzag(completed:1)")
     assert payload["leapfrog"] is True

@@ -188,7 +188,7 @@ def test_persistent_restriction_matches_lifts(data):
 def test_exchange_triangles_quadrilateral():
     g, gp = parse_arc(U1, "1:0-1:4"), parse_arc(U1, "1:2-1:6")
     sides = exchange_triangles(g, gp)
-    got = {None if s is None else s for s in sides.all_sides()}
+    got = {None if s is None else s for s in (*sides.alpha, *sides.beta)}
     assert got == {
         parse_arc(U1, "1:0-1:6"),
         parse_arc(U1, "1:2-1:4"),
@@ -201,8 +201,8 @@ def test_exchange_triangles_quadrilateral():
 
 def test_exchange_triangles_boundary_sides():
     sides = exchange_triangles(parse_arc(U1, "1:0-1:2"), parse_arc(U1, "1:1-1:3"))
-    assert None in sides.all_sides()
-    arcs = [s for s in sides.all_sides() if s is not None]
+    assert None in (*sides.alpha, *sides.beta)
+    arcs = [s for s in (*sides.alpha, *sides.beta) if s is not None]
     assert parse_arc(U1, "1:0-1:3") in arcs
 
 
@@ -210,9 +210,9 @@ def test_exchange_triangles_adjacent_corner_sides_are_boundary():
     # consecutive corners in different intervals of a completed surface give
     # two genuine arcs and two boundary segments
     sides = exchange_triangles(parse_arc(C2, "1:0-2:0"), parse_arc(C2, "1:1-2:1"))
-    arcs = {s for s in sides.all_sides() if s is not None}
+    arcs = {s for s in (*sides.alpha, *sides.beta) if s is not None}
     assert arcs == {parse_arc(C2, "1:1-2:0"), parse_arc(C2, "2:1-1:0")}
-    assert sides.all_sides().count(None) == 2
+    assert (*sides.alpha, *sides.beta).count(None) == 2
 
 
 @given(surface_and_arcs(2))
@@ -223,7 +223,8 @@ def test_exchange_sides_never_cross_the_diagonals(data):
     _, (g, d) = data
     if not cross_transverse(g, d):
         return
-    for s in exchange_triangles(g, d).all_sides():
+    sides = exchange_triangles(g, d)
+    for s in (*sides.alpha, *sides.beta):
         if s is not None:
             assert not cross_transverse(s, g)
             assert not cross_transverse(s, d)

@@ -3,7 +3,7 @@
 import pytest
 
 from infgon import triangulation
-from infgon.arcs import Arc, arc_key, parse_arc, shift_arc
+from infgon.arcs import Arc, arc_key, format_arc, parse_arc, shift_arc
 from infgon.homs import ext_dim, hom_dim
 from infgon.mutation import (
     UNDEFINED,
@@ -27,6 +27,7 @@ from infgon.triangulation import (
     build_fountain,
     canonical_zigzag,
     from_window_set,
+    neighbor_scan,
     validate_non_crossing,
     window_brute_force,
 )
@@ -140,6 +141,59 @@ def test_scans_never_check_membership_separately(monkeypatch):
     monkeypatch.setattr(Triangulation, "contains", refuse)
     for t, a in cases:
         assert quad_frame(t, a).arc == a
+
+
+def test_single_scans_read_the_endpoint_index(monkeypatch):
+    """On Single generators a scan neither decomposes the boundary nor walks the generators."""
+    import infgon.homs as homs
+    import infgon.triangulation as tri
+
+    def refuse(*args):
+        raise AssertionError("reached a per-segment or per-generator pass")
+
+    w = Window.of_points([C1.point(1, i) for i in range(-4, 4)] + [C1.point(1, None)])
+    t = from_window_set(w, window_brute_force(w)[7])
+    monkeypatch.setattr(tri, "open_interval_segments", refuse)
+    monkeypatch.setattr(homs, "open_interval_segments", refuse)
+    monkeypatch.setattr(Arc, "has_endpoint", refuse)
+    for g in t.generators:
+        for e in g.arc.endpoints:
+            for side in (Side.LEFT, Side.RIGHT):
+                assert neighbor_scan(t, g.arc, e, side).endpoint == e
+    # a family fixed at the endpoint still clips its progression by the segments
+    fountain = build_fountain(C1, C1.point(1, 0))
+    with pytest.raises(AssertionError, match="per-segment"):
+        neighbor_scan(fountain, parse_arc(C1, "1:0-1:5"), C1.point(1, 0), Side.LEFT)
+
+
+def test_the_endpoint_index_is_invisible():
+    """The index takes no part in equality, hashing, repr or JSON, survives
+    copying and pickling, and is rebuilt by dataclasses.replace."""
+    import copy
+    import dataclasses
+    import pickle
+
+    w = Window.of_points([C1.point(1, i) for i in range(6)])
+    t = from_window_set(w, window_brute_force(w)[0])
+    twin = Triangulation(t.surface, t.generators, t.certificate)
+    object.__setattr__(twin, "_ends", {})
+    assert twin == t and hash(twin) == hash(t) == hash((t.surface, t.generators, t.certificate))
+    assert repr(t) == f"Triangulation(surface={t.surface!r}, generators={t.generators!r}, certificate={t.certificate!r})"
+    assert triangulation.triangulation_to_json(t) == {
+        "surface": "completed:1",
+        "generators": [{"single": format_arc(g.arc)} for g in t.generators],
+        "certificate": {"window": [f"1:{i}" for i in range(6)]},
+    }
+    scans = [neighbor_scan(t, g.arc, g.arc.a, side) for g in t.generators for side in Side]
+    for other in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and other._ends == t._ends and other._families == t._families
+        assert [neighbor_scan(other, g.arc, g.arc.a, side) for g in t.generators for side in Side] == scans
+    a = t.generators[0].arc
+    smaller = dataclasses.replace(t, generators=t.generators[1:], certificate=triangulation.UNVERIFIED)
+    assert t.contains(a) and not smaller.contains(a)
+    assert sorted(smaller._ends) == sorted({k for g in smaller.generators for k in (g.arc.ka, g.arc.kb)})
+    with pytest.raises(TriangulationError, match="not in the triangulation"):
+        neighbor_scan(smaller, a, a.a, Side.LEFT)
 
 
 def test_approximate_fountain():

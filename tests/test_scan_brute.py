@@ -1,8 +1,9 @@
 """Brute-force cross-checks of boundary segments and neighbour scans."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_window_points, surface_and_points
+from conftest import all_window_points, arcs_on, surface_and_points
 from infgon.homs import BoundaryInterval, open_interval_segments
 from infgon.surface import Point, Surface, cyclic_ordered
 from infgon.triangulation import Arc, Side, Window, build_fountain, canonical_zigzag, neighbor_scan
@@ -143,3 +144,219 @@ def test_scan_extremum_matches_brute_force_when_bounded():
     scan = neighbor_scan(t, a, u, Side.RIGHT)
     brute = _cut_sorted(_brute_scan_points(t, a, u, Side.RIGHT, 12), v)
     assert scan.extremum == brute[0] == C2.point(2, 7)
+
+
+# --- differential check against the generator-walking scan --------------------
+#
+# The reference route below is the scan as it stood before the endpoint index:
+# it walks every generator for the partners and filters them segment by
+# segment.  It is kept verbatim and uses no helper of the indexed scan.
+
+from typing import Optional
+
+from infgon.arcs import arc_key, format_arc
+from infgon.triangulation import (
+    Certificate,
+    CertificateStatus,
+    Family,
+    IntRange,
+    Moving,
+    NeighborScan,
+    Progression,
+    Single,
+    Triangulation,
+    TriangulationError,
+    window_arcs,
+    window_brute_force,
+)
+from test_symbolic_brute import bounded_families, materialize
+
+
+def _reference_partners(t: Triangulation, e: Point) -> tuple[list[Point], list[Progression]]:
+    singles: list[Point] = []
+    progs: list[Progression] = []
+    for gen in t.generators:
+        if isinstance(gen, Single):
+            if gen.arc.has_endpoint(e):
+                singles.append(gen.arc.other_endpoint(e))
+            continue
+        for this, other in ((gen.e0, gen.e1), (gen.e1, gen.e0)):
+            if isinstance(this, Point):
+                if this == e:
+                    assert isinstance(other, Moving)
+                    progs.append(Progression(other.interval, other.base, other.stride, gen.domain))
+            else:
+                if e.pos is not None and e.interval == this.interval:
+                    tpar = this.param_for_pos(e.pos)
+                    if tpar is not None and gen.domain.contains(tpar):
+                        if isinstance(other, Moving):
+                            singles.append(Point(e.surface, other.interval, other.pos_at(tpar)))
+                        else:
+                            singles.append(other)
+    return singles, progs
+
+
+def _reference_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> NeighborScan:
+    if not a.has_endpoint(endpoint):
+        raise ValueError("scan endpoint must belong to the arc")
+    other = a.other_endpoint(endpoint)
+    raw_singles, raw_progs = _reference_partners(t, endpoint) if a.surface is t.surface else ([], [])
+    # a is in t exactly when other is one of the partners at endpoint.
+    if other not in raw_singles and not (
+        other.pos is not None
+        and any(pr.interval == other.interval and pr.clip_positions(other.pos, other.pos) is not None
+                for pr in raw_progs)
+    ):
+        raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
+    left = side is Side.LEFT
+    segs = open_interval_segments(endpoint, other) if left else open_interval_segments(other, endpoint)[::-1]
+
+    kept_singles: list[Point] = []
+    kept_progs: list[Progression] = []
+    per_seg: list[tuple[list[int], list[Progression], Optional[Point]]] = []
+    for seg in segs:
+        if seg[0] == "acc":
+            acc = Point(t.surface, seg[1], None)
+            hit = acc if acc in raw_singles else None
+            if hit is not None:
+                kept_singles.append(hit)
+            per_seg.append(([], [], hit))
+            continue
+        _, k, lo, hi = seg
+        poss = [p.pos for p in raw_singles if p.pos is not None and p.interval == k
+                and (lo is None or p.pos >= lo) and (hi is None or p.pos <= hi)]
+        clipped = [pr.clip_positions(lo, hi) for pr in raw_progs if pr.interval == k]
+        clipped = [c for c in clipped if c is not None]
+        kept_singles.extend(Point(t.surface, k, p) for p in poss)
+        kept_progs.extend(clipped)
+        per_seg.append((poss, clipped, None))
+
+    extremum: Optional[Point] = None
+    for seg, (poss, clipped, acc_hit) in zip(reversed(segs), reversed(per_seg)):
+        if acc_hit is not None:
+            extremum = acc_hit
+            break
+        if not poss and not clipped:
+            continue
+        bounds = list(poss)
+        for pr in clipped:
+            r = pr.position_range()
+            bound = r.hi if left else r.lo
+            if bound is None:
+                break  # the progression runs on towards o: no extremum
+            bounds.append(bound)
+        else:
+            extremum = Point(t.surface, seg[1], max(bounds) if left else min(bounds))
+        break
+
+    empty = not kept_singles and not kept_progs
+    return NeighborScan(a, endpoint, side, tuple(kept_singles), tuple(kept_progs), extremum, empty)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (ValueError, TriangulationError) as exc:
+        return (type(exc), str(exc))
+
+
+def _fields(result):
+    if isinstance(result, NeighborScan):
+        return tuple(getattr(result, f) for f in NeighborScan.__dataclass_fields__)
+    return result
+
+
+def _assert_scans_agree(t: Triangulation, arcs, endpoints=None) -> int:
+    """Both routes on every given arc, at each endpoint and at a point off the arc, on both sides."""
+    count = 0
+    for a in arcs:
+        for endpoint in (*a.endpoints, *(endpoints or ())):
+            for side in (Side.LEFT, Side.RIGHT):
+                got = _outcome(neighbor_scan, t, a, endpoint, side)
+                expected = _outcome(_reference_scan, t, a, endpoint, side)
+                assert _fields(got) == _fields(expected), (format_arc(a), endpoint, side)
+                count += isinstance(got, NeighborScan)
+    return count
+
+
+def _contiguous_window(surface: Surface, size: int, offset: int) -> Window:
+    """``size`` regular points split evenly over the intervals, plus every accumulation point."""
+    n = surface.intervals
+    pts = []
+    for k in range(1, n + 1):
+        share = size // n + (k <= size % n)
+        pts.extend(Point(surface, k, offset + i) for i in range(share))
+        if surface.completed:
+            pts.append(Point(surface, k, None))
+    return Window.of_points(pts)
+
+
+def test_indexed_scan_matches_the_reference_on_shuffled_window_sets():
+    import random
+
+    rng = random.Random(11)
+    scans = 0
+    for completed, n, size in ((True, 1, 6), (True, 2, 5), (True, 3, 4), (False, 1, 7), (False, 2, 7),
+                               (False, 3, 7), (False, 4, 8)):
+        w = _contiguous_window(Surface(completed, n), size, rng.randrange(-5, 5))
+        arcs = window_arcs(w)
+        stray = (w.points[0], w.points[len(w.points) // 2])
+        sets = window_brute_force(w)
+        for T in rng.sample(sets, min(len(sets), 40)):
+            gens = [Single(g) for g in T]
+            rng.shuffle(gens)
+            t = Triangulation(w.surface, tuple(gens), Certificate(CertificateStatus.WINDOW_CHECKED, w))
+            scans += _assert_scans_agree(t, arcs, stray)
+    assert scans > 8000
+
+
+def _split_and_shuffle(t: Triangulation, rng) -> Triangulation:
+    """The same arcs in shuffled generator order, with two instances of each
+    family given as single arcs: a single then shares its run with the rest
+    of its family."""
+    gens = []
+    for g in t.generators:
+        if isinstance(g, Single):
+            gens.append(g)
+            continue
+        d = g.domain
+        c = d.lo if d.lo is not None else (d.hi - 1 if d.hi is not None else 0)
+        gens.extend(Single(g.arc_at(t.surface, u)) for u in (c, c + 1) if d.contains(u))
+        for piece in (IntRange(None, c - 1), IntRange(c + 2, None)):
+            if not d.intersect(piece).is_empty:
+                gens.append(Family(g.e0, g.e1, d.intersect(piece)))
+    rng.shuffle(gens)
+    return Triangulation(t.surface, tuple(gens), t.certificate)
+
+
+def test_indexed_scan_matches_the_reference_on_fountains_and_the_zigzag():
+    import random
+
+    rng = random.Random(5)
+    scans = 0
+    for n in (1, 2, 3):
+        s = Surface(True, n)
+        arcs = window_arcs(Window.symmetric(s, 3))
+        bases = (s.point(1, 0), s.point(n, 2), s.accumulation(1), s.accumulation(n))
+        for base in bases:
+            fountain = build_fountain(s, base)
+            for t in (fountain, _split_and_shuffle(fountain, rng)):
+                scans += _assert_scans_agree(t, arcs, (s.point(1, 1),))
+    zigzag = canonical_zigzag(C1)
+    for t in (zigzag, _split_and_shuffle(zigzag, rng)):
+        scans += _assert_scans_agree(t, window_arcs(Window.symmetric(C1, 5)), (C1.point(1, 0),))
+    assert scans > 1400
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_indexed_scan_matches_the_reference_on_mixed_generators(data):
+    surface = data.draw(st.sampled_from([C1, C2, Surface(False, 2)]))
+    gens = [data.draw(bounded_families(surface, singles=True)) for _ in range(data.draw(st.integers(1, 5)))]
+    try:
+        t = Triangulation(surface, tuple(gens))
+    except TriangulationError:
+        assume(False)
+    probe = data.draw(arcs_on(surface, 6))
+    arcs = {a for g in gens for a in materialize(surface, g)} | {probe}
+    _assert_scans_agree(t, sorted(arcs, key=arc_key), (probe.a,))
