@@ -118,7 +118,11 @@ def _segments(x: Point, y: Point, closed: bool) -> list[tuple]:
 
 
 def open_interval_segments(x: Point, y: Point) -> list[tuple]:
-    """Segments of the open anticlockwise interval (x, y), endpoints excluded."""
+    """Segments of the open anticlockwise interval (x, y), endpoints excluded.
+
+    Neighbour scans do not call it; the tests use it as the reference route
+    that ``neighbor_scan`` is checked against.
+    """
     if x == y:
         raise ValueError("open interval needs distinct endpoints")
     return _segments(x, y, False)

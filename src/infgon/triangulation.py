@@ -34,7 +34,6 @@ from .affine import (
     sym_eq_atoms,
 )
 from .arcs import Arc, arc_key, cross_transverse, format_arc, parse_arc
-from .homs import open_interval_segments
 from .surface import MixedSurfaceError, Point, Surface, adjacent, format_point, parse_point, parse_surface
 
 
@@ -139,6 +138,20 @@ class Family:
 
     def arc_at(self, surface: Surface, t: int) -> Arc:
         return Arc(self.endpoint_at(surface, 0, t), self.endpoint_at(surface, 1, t))
+
+    def ends_at(self, p: Point) -> dict[int, Optional[int]]:
+        """The ends (0 or 1) of this family at p, each with its parameter: the
+        one in the domain that puts a moving end at p, None for a fixed end."""
+        out: dict[int, Optional[int]] = {}
+        for which, e in enumerate((self.e0, self.e1)):
+            if isinstance(e, Moving):
+                if p.pos is not None and p.interval == e.interval:
+                    t = e.param_for_pos(p.pos)
+                    if t is not None and self.domain.contains(t):
+                        out[which] = t
+            elif e == p:
+                out[which] = None
+        return out
 
     @property
     def fixed_endpoint(self) -> Optional[Point]:
@@ -292,19 +305,24 @@ def ext_param_ranges(fam: Family, g: Arc) -> list[IntRange]:
     return ranges
 
 
-def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator) -> Optional[Arc]:
-    """An arc instantiated by both generators, or None; two fixed arcs are compared directly."""
+def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same: bool = False) -> Optional[Arc]:
+    """An arc instantiated by both generators, or None; two fixed arcs are compared directly.
+
+    ``same`` restricts to distinct instances (i < j) of one generator passed
+    twice, as in :func:`crossing_witness`.
+    """
     if isinstance(gen_a, Single) and isinstance(gen_b, Single):
         return gen_a.arc if gen_a.arc == gen_b.arc else None
     pair_a = _gen_sym_pair(gen_a, 0)
     pair_b = _gen_sym_pair(gen_b, 1)
     dom_a, dom_b = _gen_domain(gen_a), _gen_domain(gen_b)
+    extra = (LinIneq(-1, 1, -1),) if same else ()
     for (b0, b1) in ((pair_b[0], pair_b[1]), (pair_b[1], pair_b[0])):
         atoms0 = sym_eq_atoms(pair_a[0], b0)
         atoms1 = sym_eq_atoms(pair_a[1], b1)
         if atoms0 is False or atoms1 is False:
             continue
-        m = conjunction_model(atoms0 + atoms1, dom_a, dom_b)
+        m = conjunction_model(atoms0 + atoms1, dom_a, dom_b, extra)
         if m is not None:
             return _instantiate(surface, gen_a, m[0])
     return None
@@ -382,6 +400,9 @@ class Triangulation:
                 bad = _invalid_family_param(self.surface, gen)
                 if bad is not None:
                     raise TriangulationError(f"family degenerates at parameter {bad}")
+                dup = duplicate_witness(self.surface, gen, gen, same=True)
+                if dup is not None:
+                    raise DuplicateArcError(f"arc {format_arc(dup)} appears twice in one family")
                 families.append((i, gen))
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_families", tuple(families))
@@ -442,30 +463,16 @@ def visible_params(fam: Family, window: Window) -> IntRange:
 
 def family_param_of(surface: Surface, fam: Family, arc: Arc) -> Optional[int]:
     """The parameter at which ``fam`` instantiates to ``arc``, or None."""
-    def match(e: Endpoint, p: Point):
-        if isinstance(e, Moving):
-            if p.pos is None or p.interval != e.interval:
-                return None
-            t = e.param_for_pos(p.pos)
-            return ("at", t) if t is not None else None
-        return ("any",) if e == p else None
-
-    for p, q in ((arc.a, arc.b), (arc.b, arc.a)):
-        m0, m1 = match(fam.e0, p), match(fam.e1, q)
-        if m0 is None or m1 is None:
-            continue
-        if m0 == ("any",) and m1 == ("any",):
-            continue  # families always have a moving endpoint
-        if m0 == ("any",):
-            t = m1[1]
-        elif m1 == ("any",):
-            t = m0[1]
-        else:
-            if m0[1] != m1[1]:
-                continue
-            t = m0[1]
-        if fam.domain.contains(t):
-            return t
+    at_a = fam.ends_at(arc.a)
+    if not at_a:
+        return None
+    at_b = fam.ends_at(arc.b)
+    for at_p, at_q in ((at_a, at_b), (at_b, at_a)):
+        if 0 in at_p and 1 in at_q:
+            t0, t1 = at_p[0], at_q[1]
+            # at most one end is fixed (None), since a family has a moving end
+            if t0 is None or t1 is None or t0 == t1:
+                return t1 if t0 is None else t0
     return None
 
 
@@ -894,16 +901,13 @@ def _partners(t: Triangulation, e: Point, ke: tuple[int, int]) -> tuple[Sequence
     singles = list(indexed)
     progs: list[Progression] = []
     for i, gen in t._families:
-        for this, other in ((gen.e0, gen.e1), (gen.e1, gen.e0)):
-            if isinstance(this, Point):
-                if this == e:
-                    assert isinstance(other, Moving)
-                    progs.append(Progression(other.interval, other.base, other.stride, gen.domain))
-            elif e.pos is not None and e.interval == this.interval:
-                tpar = this.param_for_pos(e.pos)
-                if tpar is not None and gen.domain.contains(tpar):
-                    q = Point(e.surface, other.interval, other.pos_at(tpar)) if isinstance(other, Moving) else other
-                    singles.append((i, q, q.circuit_key()))
+        for which, tpar in gen.ends_at(e).items():
+            if tpar is None:  # fixed at e: the other end moves
+                other = gen.e1 if which == 0 else gen.e0
+                progs.append(Progression(other.interval, other.base, other.stride, gen.domain))
+            else:
+                q = gen.endpoint_at(e.surface, 1 - which, tpar)
+                singles.append((i, q, q.circuit_key()))
     singles.sort(key=itemgetter(0))  # stable: one family's two partners keep their order
     return singles, progs
 
@@ -920,15 +924,17 @@ def neighbor_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> Neig
     extremum is the partner nearest o: the largest position on the left, the
     smallest on the right.
 
-    Single partners come from the endpoint index and are placed by a walking
-    key ``(lap, slot, pos)`` from e, negated on the clockwise side, where lap
-    counts passes over the start of the circuit; a partner lies on the side
-    when its key is below o's.  Only progressions are clipped run by run.
+    Every partner is placed by a walking key ``(lap, slot, pos)`` from e,
+    negated on the clockwise side, where lap counts passes over the start of
+    the circuit; a partner lies on the side when its key is below o's.  The
+    positions of a progression form one run per lap: two on e's own
+    interval, split at e, and one elsewhere.  A run whose ``(lap, slot)`` is
+    o's is clipped to stop one position short of o.
     """
     ke = endpoint.circuit_key()
     if endpoint.surface is not a.surface or ke not in (a.ka, a.kb):
         raise ValueError("scan endpoint must belong to the arc")
-    other, ko = (a.b, a.kb) if ke == a.ka else (a.a, a.ka)
+    ko = a.kb if ke == a.ka else a.ka
     singles, progs = _partners(t, endpoint, ke) if a.surface is t.surface else ((), [])
     left = side is Side.LEFT
     if left:
@@ -937,51 +943,46 @@ def neighbor_scan(t: Triangulation, a: Arc, endpoint: Point, side: Side) -> Neig
         walk = lambda k: (k > ke, -k[0], -k[1])
     far = walk(ko)
     kept: list[tuple[tuple, Point]] = []
-    member = False  # a is in t exactly when other is one of the partners at endpoint
+    member = False  # a is in t exactly when o is one of the partners at e
     for _, p, k in singles:
         w = walk(k)
         if w < far:
             kept.append((w, p))
         elif k == ko:
             member = True
-    if not member and not (
-        other.pos is not None
-        and any(pr.interval == other.interval and pr.clip_positions(other.pos, other.pos) is not None
-                for pr in progs)
-    ):
-        raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
     kept.sort(key=lambda c: c[0][:2])  # run by run; stable, so generator order within a run
     # extremum candidates: (walking key, point), None for a progression running on towards o
     candidates: list[tuple[tuple, Optional[Point]]] = list(kept)
 
-    kept_progs: list[Progression] = []
-    if progs:
-        segs = open_interval_segments(endpoint, other) if left else open_interval_segments(other, endpoint)[::-1]
-        for seg in segs:
-            if seg[0] == "acc":
+    clipped: list[tuple[tuple, Progression]] = []
+    for pr in progs:
+        slot = 2 * pr.interval - 1
+        # (a position of the run, lo, hi) for each run of the progression's interval
+        runs = ((ke[1] + 1, ke[1] + 1, None), (ke[1] - 1, None, ke[1] - 1)) if slot == ke[0] else ((0, None, None),)
+        for pos, lo, hi in runs:
+            run = walk((slot, pos))[:2]
+            if run > far[:2]:
                 continue
-            _, k, lo, hi = seg
-            clipped = [c for c in (pr.clip_positions(lo, hi) for pr in progs if pr.interval == k) if c is not None]
-            if not clipped:
+            if run == far[:2]:
+                member = member or pr.clip_positions(ko[1], ko[1]) is not None
+                lo, hi = (lo, ko[1] - 1) if left else (ko[1] + 1, hi)
+            c = pr.clip_positions(lo, hi)
+            if c is None:
                 continue
-            kept_progs.extend(clipped)
-            # Every position of one run has the same (lap, slot), so any set bound of the run gives it.  A
-            # run in e's interval always has a set bound (lo past e or hi before e at the near end, the
-            # other bound next to o when the walk wraps round to o), and that bound lies on the same side
-            # of e as the whole run.  A run with no bound set is a whole interval other than e's, where
-            # the slot alone fixes the lap.
-            run = walk((2 * k - 1, lo if lo is not None else hi if hi is not None else 0))[:2]
-            for pr in clipped:
-                r = pr.position_range()
-                bound = r.hi if left else r.lo
-                if bound is None:
-                    candidates.append((run + (math.inf,), None))
-                else:
-                    candidates.append((run + (bound if left else -bound,), Point(t.surface, k, bound)))
+            clipped.append((run, c))
+            r = c.position_range()
+            bound = r.hi if left else r.lo
+            if bound is None:
+                candidates.append((run + (math.inf,), None))
+            else:
+                candidates.append((walk((slot, bound)), Point(t.surface, pr.interval, bound)))
+    if not member:
+        raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
+    clipped.sort(key=itemgetter(0))  # stable, as for the singles
 
     extremum = max(candidates, key=itemgetter(0))[1] if candidates else None
-    empty = not kept and not kept_progs
-    return NeighborScan(a, endpoint, side, tuple(p for _, p in kept), tuple(kept_progs), extremum, empty)
+    empty = not kept and not clipped
+    return NeighborScan(a, endpoint, side, tuple(p for _, p in kept), tuple(c for _, c in clipped), extremum, empty)
 
 
 # --- JSON round trip ----------------------------------------------------------
@@ -1035,11 +1036,17 @@ def triangulation_from_json(doc: dict) -> Triangulation:
     require_generators(len(items))  # before any entry is parsed
     gens: list[Generator] = []
     for item in items:
+        _json_value(item, dict, "generator record")
+        if "single" in item and "family" in item:
+            raise ValueError("generator record holds both 'single' and 'family'")
         if "single" in item:
             gens.append(Single(parse_arc(surface, _json_value(item["single"], str, "single arc"))))
         elif "family" in item:
             f = item["family"]
-            lo, hi = (None if b is None else _json_value(b, int, "domain bound") for b in f["domain"])
+            domain = _json_value(f["domain"], list, "family domain")
+            if len(domain) != 2:
+                raise ValueError(f"family domain must be [lo, hi], got {reprlib.repr(domain)}")
+            lo, hi = (None if b is None else _json_value(b, int, "domain bound") for b in domain)
             gens.append(
                 Family(
                     _endpoint_from_json(surface, f["e0"]),
@@ -1054,6 +1061,9 @@ def triangulation_from_json(doc: dict) -> Triangulation:
     if spec == "maximal":
         cert = CERTIFIED_MAXIMAL
     elif isinstance(spec, dict) and "window" in spec:
-        pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in spec["window"])
+        window = _json_value(spec["window"], list, "certificate window")
+        pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in window)
         cert = Certificate(CertificateStatus.WINDOW_CHECKED, Window(surface, pts))
+    elif spec is not None:
+        raise ValueError(f'certificate must be "maximal" or {{"window": [...]}}, got {reprlib.repr(spec)}')
     return Triangulation(surface, tuple(gens), cert)

@@ -129,6 +129,29 @@ def test_json_numbers_and_nesting_are_checked(tmp_path, capsys):
     assert run_json(capsys, "validate", "--triangulation", str(path)) == (0, {"ok": True})
 
 
+def test_json_fields_are_checked_by_shape(tmp_path, capsys):
+    """Fields of the wrong shape, and one family presenting an arc twice, are
+    refused with a message naming them, not read past."""
+    single = {"single": "1:0-1:2"}
+    twice = {"e0": {"interval": 1, "base": 0, "stride": 2}, "e1": {"interval": 1, "base": 2, "stride": -2}, "domain": [0, 1]}
+    cases = (
+        ({"surface": "completed:1", "generators": [single], "certificate": "bogus"}, "certificate must be \"maximal\""),
+        ({"surface": "completed:1", "generators": [single], "certificate": {"window": "1:0"}},
+         "certificate window must be a JSON list, got '1:0'"),
+        (_family_doc(0, [0, None, 3]), "family domain must be [lo, hi], got [0, None, 3]"),
+        ({"surface": "completed:1", "generators": [{**single, "family": _family_doc(0, [0, None])["generators"][0]["family"]}]},
+         "generator record holds both 'single' and 'family'"),
+        ({"surface": "completed:1", "generators": [{"family": twice}]}, "arc 1:0-1:2 appears twice in one family"),
+    )
+    for i, (doc, named) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--triangulation", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), named
+        assert captured.err.startswith("error: ") and named in captured.err, captured.err
+
+
 _json_leaves = st.one_of(
     st.none(),
     st.booleans(),

@@ -144,26 +144,31 @@ def test_scans_never_check_membership_separately(monkeypatch):
 
 
 def test_single_scans_read_the_endpoint_index(monkeypatch):
-    """On Single generators a scan neither decomposes the boundary nor walks the generators."""
+    """No scan decomposes the boundary into segments, and on Single generators
+    a scan does not walk the generators either."""
     import infgon.homs as homs
-    import infgon.triangulation as tri
 
     def refuse(*args):
         raise AssertionError("reached a per-segment or per-generator pass")
 
     w = Window.of_points([C1.point(1, i) for i in range(-4, 4)] + [C1.point(1, None)])
     t = from_window_set(w, window_brute_force(w)[7])
-    monkeypatch.setattr(tri, "open_interval_segments", refuse)
-    monkeypatch.setattr(homs, "open_interval_segments", refuse)
+    with_families = [fountain1(), build_fountain(C2, C2.accumulation(1)), canonical_zigzag(C1)]
+    for module in (homs, triangulation):  # and any binding imported by name
+        monkeypatch.setattr(module, "open_interval_segments", refuse, raising=False)
     monkeypatch.setattr(Arc, "has_endpoint", refuse)
     for g in t.generators:
         for e in g.arc.endpoints:
             for side in (Side.LEFT, Side.RIGHT):
                 assert neighbor_scan(t, g.arc, e, side).endpoint == e
-    # a family fixed at the endpoint still clips its progression by the segments
-    fountain = build_fountain(C1, C1.point(1, 0))
-    with pytest.raises(AssertionError, match="per-segment"):
-        neighbor_scan(fountain, parse_arc(C1, "1:0-1:5"), C1.point(1, 0), Side.LEFT)
+    scans = 0
+    for ft in with_families:
+        for a in triangulation.window_arcs(Window.symmetric(ft.surface, 4)):
+            if ft.contains(a):
+                for e in a.endpoints:
+                    for side in (Side.LEFT, Side.RIGHT):
+                        scans += neighbor_scan(ft, a, e, side).endpoint == e
+    assert scans > 100
 
 
 def test_the_endpoint_index_is_invisible():

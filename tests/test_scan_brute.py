@@ -360,3 +360,45 @@ def test_indexed_scan_matches_the_reference_on_mixed_generators(data):
     probe = data.draw(arcs_on(surface, 6))
     arcs = {a for g in gens for a in materialize(surface, g)} | {probe}
     _assert_scans_agree(t, sorted(arcs, key=arc_key), (probe.a,))
+
+
+def test_indexed_scan_matches_the_reference_on_larger_fountains():
+    """Fountains on four to six intervals, at regular and accumulation bases:
+    arcs from the base, and arcs from points near it to every accumulation
+    point, the far ones included."""
+    import random
+
+    rng = random.Random(7)
+    scans = 0
+    for n in (4, 5, 6):
+        s = Surface(True, n)
+        near = [s.point(k, i) for k in (1, 2, n) for i in (-2, 1, 3)]
+        for base in (s.point(1, 0), s.point(n // 2 + 1, -1), s.accumulation(1), s.accumulation(n // 2)):
+            fountain = build_fountain(s, base)
+            targets = [p for p in Window.symmetric(s, 2).points if p != base]
+            arcs = {Arc(base, p) for p in targets if p.pos is None or base.pos is None or p.interval != base.interval
+                    or abs(p.pos - base.pos) > 1}
+            arcs |= {Arc(p, s.accumulation(k)) for p in near for k in range(1, n + 1)}
+            for t in (fountain, _split_and_shuffle(fountain, rng)):
+                scans += _assert_scans_agree(t, sorted(arcs, key=arc_key), (s.point(1, 1),))
+    assert scans > 2500
+
+
+def test_indexed_scan_matches_the_reference_on_one_family_on_its_own_interval():
+    """One family fixed at e whose moving end runs on e's interval, on
+    uncompleted surfaces: its progression is split at e, and the run holding
+    o ends next to it on either side of e."""
+    scans = 0
+    for n in (1, 2, 3, 5):
+        s = Surface(False, n)
+        for k in sorted({1, n}):
+            e = s.point(k, 0)
+            for base, stride, domain in ((2, 1, IntRange(0, None)), (-2, -1, IntRange(0, None)), (2, 4, IntRange(None, None)),
+                                         (-3, 5, IntRange(-2, 3)), (2, -4, IntRange(-3, None)), (7, -5, IntRange(None, 2))):
+                for fam in (Family(e, Moving(k, base, stride), domain), Family(Moving(k, base, stride), e, domain)):
+                    t = Triangulation(s, (fam,))
+                    points = [s.point(j, i) for j in sorted({1, k, n}) for i in range(-9, 10)]
+                    arcs = {Arc(e, p) for p in points if p.interval != k or abs(p.pos) > 1}
+                    arcs |= {Arc(p, q) for p in points[::7] for q in points[3::11] if p.interval != q.interval}
+                    scans += _assert_scans_agree(t, sorted(arcs, key=arc_key), (s.point(k, 1),))
+    assert scans > 1500

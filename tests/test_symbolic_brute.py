@@ -19,6 +19,7 @@ from infgon.triangulation import (
     Window,
     crossing_witness,
     duplicate_witness,
+    family_param_of,
     validate_non_crossing,
     window_arcs,
 )
@@ -109,6 +110,53 @@ def test_duplicate_witness_matches_brute_force(data):
     assert (hit is not None) == brute
     if hit is not None:
         assert hit in arcs_a and hit in arcs_b
+
+
+@st.composite
+def mirrored_ladders(draw, surface: Surface):
+    """Ladders whose two ends run towards each other on one interval, so that
+    the instances at t and c - t are one arc."""
+    k = draw(st.integers(1, surface.intervals))
+    base, stride = draw(st.integers(-6, 6)), draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    lo, width = draw(st.integers(-3, 3)), draw(st.integers(0, 4))
+    c = 2 * lo + draw(st.integers(0, 2 * width))
+    return Family(Moving(k, base, stride), Moving(k, base + stride * c, -stride), IntRange(lo, lo + width))
+
+
+@given(st.data())
+@settings(max_examples=250)
+def test_duplicate_witness_within_one_family_matches_brute_force(data):
+    surface = data.draw(st.sampled_from([Surface(True, 1), Surface(False, 1), Surface(False, 2)]))
+    fam = data.draw(st.one_of(bounded_families(surface), mirrored_ladders(surface)))
+    try:
+        arcs = materialize(surface, fam)
+    except ValueError:
+        assume(False)
+    brute = len(set(arcs)) < len(arcs)
+    hit = duplicate_witness(surface, fam, fam, same=True)
+    assert (hit is not None) == brute
+    if hit is not None:
+        assert arcs.count(hit) > 1
+
+
+@given(st.data())
+@settings(max_examples=250)
+def test_family_param_of_matches_brute_force(data):
+    """family_param_of gives a parameter t of the domain with arc_at(t) equal
+    to the arc exactly when there is one: at instances inside and just
+    outside the domain, and at arbitrary arcs."""
+    surface = data.draw(st.sampled_from([Surface(True, 2), Surface(False, 2)]))
+    fam = data.draw(bounded_families(surface))
+    params: dict[Arc, list[int]] = {}
+    for t in range(fam.domain.lo - 3, fam.domain.hi + 4):
+        try:
+            params.setdefault(fam.arc_at(surface, t), []).append(t)
+        except ValueError:
+            continue
+    for arc in [*params, *data.draw(st.lists(arcs_on(surface, 6), max_size=4))]:
+        inside = [t for t in params.get(arc, ()) if fam.domain.contains(t)]
+        got = family_param_of(surface, fam, arc)
+        assert got in inside if inside else got is None, (arc, inside, got)
 
 
 @given(st.data())

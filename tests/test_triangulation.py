@@ -129,6 +129,16 @@ def test_duplicate_detection():
         Triangulation(C1, (fam, Single(parse_arc(C1, "1:0-1:2"))))
 
 
+def test_one_family_presenting_an_arc_twice_is_refused():
+    """1:0-1:2 is the instance at t = 0 and at t = 1; removing it would leave it in."""
+    fam = Family(Moving(1, 0, 2), Moving(1, 2, -2), IntRange(0, 1))
+    assert fam.arc_at(C1, 0) == fam.arc_at(C1, 1) == parse_arc(C1, "1:0-1:2")
+    with pytest.raises(DuplicateArcError, match="arc 1:0-1:2 appears twice in one family"):
+        Triangulation(C1, (fam,))
+    # a family whose instances are distinct, and Singles, still build
+    Triangulation(C1, (Family(Moving(1, 0, 2), Moving(1, 2, -2), IntRange(0, 0)), Single(parse_arc(C1, "1:5-1:7"))))
+
+
 def test_family_degeneration_detection():
     with pytest.raises(TriangulationError):
         Triangulation(C1, (Family(C1.point(1, 0), Moving(1, -3, 1), IntRange(0, None)),))
