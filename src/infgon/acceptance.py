@@ -467,11 +467,9 @@ def criterion_9_limit_arcs(level: str = "desk"):
             if step(q, 1) != q:
                 failures.append(f"claimed limit {format_point(q)} is not a fixed point of the successor")
                 continue
-            expected_kind = LimitKind.ACCUMULATION_POINT if q == p else (
-                LimitKind.BOUNDARY_SEGMENT if adjacent(p, q) else LimitKind.ARC
-            )
+            expected_kind = LimitKind.ACCUMULATION_POINT if q == p else LimitKind.ARC
             if expected_kind != res.kind:
-                failures.append(f"trichotomy mismatch: got {res.kind}, expected {expected_kind}")
+                failures.append(f"limit kind mismatch: got {res.kind}, expected {expected_kind}")
                 continue
         if res.kind is LimitKind.ARC:
             t = Triangulation(surface, (fam,))

@@ -11,6 +11,11 @@ Inequalities are written a*i + b*j + c >= 0.  Symbolic boundary points are
 (slot, affine) pairs: slot is the circuit slot of the interval, affine is
 (coef_i, coef_j, const) for a regular point's position, or None for an
 accumulation point (which is the unique point of its slot).
+
+The DNF builders (``orient_``, ``cross_`` and ``eq_conjunctions``) own atom
+reduction: they drop the atoms decided true without the solver, skip every
+conjunction holding an atom decided false, and return the rest in a fixed
+order as lists of ``LinIneq``, ready for the solver as they stand.
 """
 
 from __future__ import annotations
@@ -261,40 +266,45 @@ def sym_eq_atoms(p: SymPoint, q: SymPoint):
     return [LinIneq(*diff), LinIneq(-diff[0], -diff[1], -diff[2])]
 
 
-def orient_conjunctions(a: SymPoint, b: SymPoint, c: SymPoint) -> list[list]:
-    """DNF for strict anticlockwise orientation of three symbolic points."""
-    lt = sym_lt
-    return [[lt(a, b), lt(b, c)], [lt(b, c), lt(c, a)], [lt(c, a), lt(a, b)]]
+def orient_conjunctions(a: SymPoint, b: SymPoint, c: SymPoint) -> list[list[LinIneq]]:
+    """Reduced DNF for strict anticlockwise orientation of three symbolic points."""
+    ab, bc, ca = sym_lt(a, b), sym_lt(b, c), sym_lt(c, a)
+    return [
+        [atom for atom in conj if atom is not True]
+        for conj in ((ab, bc), (bc, ca), (ca, ab))
+        if all(atom is not False for atom in conj)
+    ]
 
 
-def cross_conjunctions(pair_a: tuple[SymPoint, SymPoint], pair_b: tuple[SymPoint, SymPoint]) -> list[list]:
-    """DNF whose satisfiability states that the two symbolic arcs cross.
+def cross_conjunctions(pair_a: tuple[SymPoint, SymPoint], pair_b: tuple[SymPoint, SymPoint]) -> list[list[LinIneq]]:
+    """Reduced DNF whose satisfiability states that the two symbolic arcs cross.
 
-    Each conjunction lists atoms (bool or LinIneq); strict cyclic
-    orientation of distinct points already forces all four endpoints
-    pairwise distinct, so no separate disequalities are needed.
+    Strict cyclic orientation of distinct points already forces all four
+    endpoints pairwise distinct, so no separate disequalities are needed.
     """
     p1, p2 = pair_a
     q1, q2 = pair_b
     out = []
     for r, s in ((q1, q2), (q2, q1)):
+        second = orient_conjunctions(p2, s, p1)
         for c1 in orient_conjunctions(p1, r, p2):
-            for c2 in orient_conjunctions(p2, s, p1):
-                out.append(c1 + c2)
+            out.extend(c1 + c2 for c2 in second)
+    return out
+
+
+def eq_conjunctions(pair_a: tuple[SymPoint, SymPoint], pair_b: tuple[SymPoint, SymPoint]) -> list[list[LinIneq]]:
+    """Reduced DNF whose satisfiability states that the two symbolic arcs are equal."""
+    p1, p2 = pair_a
+    out = []
+    for r, s in (pair_b, pair_b[::-1]):
+        c1, c2 = sym_eq_atoms(p1, r), sym_eq_atoms(p2, s)
+        if c1 is not False and c2 is not False:
+            out.append(c1 + c2)
     return out
 
 
 def conjunction_model(
-    atoms: Sequence,
-    i_range: IntRange,
-    j_range: IntRange,
-    extra: Sequence[LinIneq] = (),
+    atoms: Sequence[LinIneq], i_range: IntRange, j_range: IntRange, extra: Sequence[LinIneq] = ()
 ) -> Optional[tuple[int, int]]:
-    ineqs: list[LinIneq] = list(extra)
-    for t in atoms:
-        if t is False:
-            return None
-        if t is True:
-            continue
-        ineqs.append(t)
-    return solve_2var(ineqs, i_range, j_range)
+    """A model of one reduced conjunction, with ``extra`` ahead of its atoms."""
+    return solve_2var([*extra, *atoms], i_range, j_range)

@@ -28,13 +28,13 @@ from .affine import (
     SymPoint,
     conjunction_model,
     cross_conjunctions,
+    eq_conjunctions,
     orient_conjunctions,
     range_ineqs,
     solve_1var_range,
-    sym_eq_atoms,
 )
 from .arcs import Arc, arc_key, cross_transverse, format_arc, parse_arc
-from .surface import MixedSurfaceError, Point, Surface, adjacent, format_point, parse_point, parse_surface
+from .surface import MixedSurfaceError, Point, Surface, format_point, parse_point, parse_surface
 
 
 class TriangulationError(ValueError):
@@ -227,9 +227,6 @@ class Window:
             raise ValueError("window needs at least one point")
         return Window(points[0].surface, tuple(points))
 
-    def contains(self, p: Point) -> bool:
-        return p in self.points
-
 
 # --- symbolic encodings ----------------------------------------------------
 
@@ -262,6 +259,19 @@ def _instantiate(surface: Surface, gen: Generator, t: int) -> Arc:
     return gen.arc if isinstance(gen, Single) else gen.arc_at(surface, t)
 
 
+def _first_model(dnf, gen_a: Generator, gen_b: Generator, same: bool) -> Optional[tuple[int, int]]:
+    """The first model, in DNF order, of ``dnf(pair_a, pair_b)`` over the two
+    generators' symbolic endpoints and domains; ``same`` adds i < j."""
+    conjunctions = dnf(_gen_sym_pair(gen_a, 0), _gen_sym_pair(gen_b, 1))
+    dom_a, dom_b = _gen_domain(gen_a), _gen_domain(gen_b)
+    extra = (LinIneq(-1, 1, -1),) if same else ()
+    for conj in conjunctions:
+        m = conjunction_model(conj, dom_a, dom_b, extra)
+        if m is not None:
+            return m
+    return None
+
+
 def crossing_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same: bool = False) -> Optional[tuple[Arc, Arc]]:
     """A crossing pair of instances of the two generators, or None.
 
@@ -271,15 +281,8 @@ def crossing_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same:
     """
     if isinstance(gen_a, Single) and isinstance(gen_b, Single):
         return (gen_a.arc, gen_b.arc) if cross_transverse(gen_a.arc, gen_b.arc) else None
-    pair_a = _gen_sym_pair(gen_a, 0)
-    pair_b = _gen_sym_pair(gen_b, 1)
-    dom_a, dom_b = _gen_domain(gen_a), _gen_domain(gen_b)
-    extra = (LinIneq(-1, 1, -1),) if same else ()
-    for conj in cross_conjunctions(pair_a, pair_b):
-        m = conjunction_model(conj, dom_a, dom_b, extra)
-        if m is not None:
-            return (_instantiate(surface, gen_a, m[0]), _instantiate(surface, gen_b, m[1]))
-    return None
+    m = _first_model(cross_conjunctions, gen_a, gen_b, same)
+    return None if m is None else (_instantiate(surface, gen_a, m[0]), _instantiate(surface, gen_b, m[1]))
 
 
 def ext_param_ranges(fam: Family, g: Arc) -> list[IntRange]:
@@ -297,9 +300,7 @@ def ext_param_ranges(fam: Family, g: Arc) -> list[IntRange]:
     bounds = [(q.a, q.c) for q in range_ineqs(fam.domain, 0)]
     ranges: list[IntRange] = []
     for conj in dnf:
-        if any(atom is False for atom in conj):
-            continue
-        r = solve_1var_range([(atom.a, atom.c) for atom in conj if atom is not True] + bounds)
+        r = solve_1var_range([(atom.a, atom.c) for atom in conj] + bounds)
         if r is not None:
             ranges.append(r)
     return ranges
@@ -313,42 +314,23 @@ def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same
     """
     if isinstance(gen_a, Single) and isinstance(gen_b, Single):
         return gen_a.arc if gen_a.arc == gen_b.arc else None
-    pair_a = _gen_sym_pair(gen_a, 0)
-    pair_b = _gen_sym_pair(gen_b, 1)
-    dom_a, dom_b = _gen_domain(gen_a), _gen_domain(gen_b)
-    extra = (LinIneq(-1, 1, -1),) if same else ()
-    for (b0, b1) in ((pair_b[0], pair_b[1]), (pair_b[1], pair_b[0])):
-        atoms0 = sym_eq_atoms(pair_a[0], b0)
-        atoms1 = sym_eq_atoms(pair_a[1], b1)
-        if atoms0 is False or atoms1 is False:
-            continue
-        m = conjunction_model(atoms0 + atoms1, dom_a, dom_b, extra)
-        if m is not None:
-            return _instantiate(surface, gen_a, m[0])
-    return None
+    m = _first_model(eq_conjunctions, gen_a, gen_b, same)
+    return None if m is None else _instantiate(surface, gen_a, m[0])
 
 
 def _invalid_family_param(surface: Surface, fam: Family) -> Optional[int]:
-    """A parameter whose instance has equal or adjacent endpoints, if any."""
-    e0, e1 = fam.e0, fam.e1
-    i0 = e0.interval if isinstance(e0, Moving) else (e0.interval if e0.pos is not None else None)
-    i1 = e1.interval if isinstance(e1, Moving) else (e1.interval if e1.pos is not None else None)
-    acc0 = isinstance(e0, Point) and e0.pos is None
-    acc1 = isinstance(e1, Point) and e1.pos is None
-    if acc0 or acc1 or i0 != i1:
+    """A parameter whose instance has equal or adjacent endpoints (one interval,
+    positions at most 1 apart), if any; the one of lowest position difference."""
+    (s0, a0), (s1, a1) = _gen_sym_pair(fam, 0)
+    if a0 is None or a1 is None or s0 != s1:
         return None  # distinct intervals or an accumulation endpoint: always valid
-    c0 = (e0.stride, e0.base) if isinstance(e0, Moving) else (0, e0.pos)
-    c1 = (e1.stride, e1.base) if isinstance(e1, Moving) else (0, e1.pos)
-    dcoef, dconst = c1[0] - c0[0], c1[1] - c0[1]
-    if dcoef == 0:
-        if abs(dconst) <= 1:
-            return fam.domain.lo if fam.domain.lo is not None else (fam.domain.hi if fam.domain.hi is not None else 0)
+    dcoef, dconst = a1[0] - a0[0], a1[2] - a0[2]
+    bounds = [(q.a, q.c) for q in range_ineqs(fam.domain, 0)]
+    r = solve_1var_range([(dcoef, dconst + 1), (-dcoef, 1 - dconst), *bounds])
+    if r is None:
         return None
-    for target in (-1, 0, 1):
-        q, r = divmod(target - dconst, dcoef)
-        if r == 0 and fam.domain.contains(q):
-            return q
-    return None
+    # the difference grows with t (or stays): lowest t first; it shrinks: highest t
+    return r.hi if dcoef < 0 else next((b for b in (r.lo, r.hi) if b is not None), 0)
 
 
 # an entry of the endpoint index: (generator position, partner point, partner circuit key)
@@ -440,8 +422,6 @@ class Triangulation:
             params = visible_params(gen, window)
             if params.is_empty:
                 continue
-            if not params.is_bounded:
-                raise ResourceLimitError("family visible infinitely often in a finite window")
             for t in params.iterate():
                 arc = gen.arc_at(self.surface, t)
                 if arc.a in pts and arc.b in pts:
@@ -451,7 +431,8 @@ class Triangulation:
 
 def visible_params(fam: Family, window: Window) -> IntRange:
     """Parameters at which every moving endpoint of ``fam`` lies within the
-    window's position span on its interval; fixed endpoints are not checked."""
+    window's position span on its interval; fixed endpoints are not checked.
+    A family has a moving endpoint, so the range is empty or bounded."""
     params = fam.domain
     for e in fam.moving_endpoints:
         positions = [p.pos for p in window.points if p.interval == e.interval and p.pos is not None]
@@ -738,14 +719,17 @@ def window_brute_force(w: Window) -> list[frozenset[Arc]]:
     return out
 
 
+def _missed_window_arc(t: Triangulation, w: Window) -> Optional[Arc]:
+    """The first window arc that is neither in t nor crossed by an instance of t."""
+    for arc in window_arcs(w):
+        if not t.contains(arc) and arc_crossing_in(t, arc) is None:
+            return arc
+    return None
+
+
 def window_check(t: Triangulation, w: Window) -> bool:
     """Local maximality: every window arc is in t or crosses an instance of t."""
-    for arc in window_arcs(w):
-        if t.contains(arc):
-            continue
-        if arc_crossing_in(t, arc) is None:
-            return False
-    return True
+    return _missed_window_arc(t, w) is None
 
 
 def from_window_set(w: Window, arcs: Iterable[Arc]) -> Triangulation:
@@ -763,7 +747,6 @@ def from_window_set(w: Window, arcs: Iterable[Arc]) -> Triangulation:
 class LimitKind(Enum):
     ARC = "arc"
     ACCUMULATION_POINT = "accumulation-point"
-    BOUNDARY_SEGMENT = "boundary-segment"
 
 
 @dataclass(frozen=True)
@@ -778,8 +761,9 @@ def limit_of_family(surface: Surface, fam: Family, end: int | None = None) -> Fa
 
     The moving endpoint converges to the accumulation point q closing its
     interval in the direction of escape.  The family converges to the arc
-    from the fixed endpoint p to q, degenerating when p == q or when the
-    two are adjacent.
+    from the fixed endpoint p to q, and degenerates to the point q when
+    p == q.  An accumulation point is adjacent to no point, so p and q never
+    bound a boundary segment.
     """
     if not surface.completed:
         raise ValueError("limits of families exist on completed surfaces only")
@@ -807,8 +791,6 @@ def limit_of_family(surface: Surface, fam: Family, end: int | None = None) -> Fa
     q = Point(surface, gap, None)
     if p == q:
         return FamilyLimit(LimitKind.ACCUMULATION_POINT, point=q)
-    if adjacent(p, q):
-        return FamilyLimit(LimitKind.BOUNDARY_SEGMENT)
     return FamilyLimit(LimitKind.ARC, arc=Arc(p, q))
 
 
@@ -1001,9 +983,10 @@ def _json_value(value, kind: type, field: str):
     return value
 
 
-def _endpoint_from_json(surface: Surface, obj) -> Endpoint:
+def _endpoint_from_json(surface: Surface, obj, field: str) -> Endpoint:
     if isinstance(obj, str):
         return parse_point(surface, obj)
+    obj = _json_value(obj, dict, f"family {field}")
     return Moving(*(_json_value(obj[f], int, f"moving endpoint {f}") for f in ("interval", "base", "stride")))
 
 
@@ -1042,15 +1025,15 @@ def triangulation_from_json(doc: dict) -> Triangulation:
         if "single" in item:
             gens.append(Single(parse_arc(surface, _json_value(item["single"], str, "single arc"))))
         elif "family" in item:
-            f = item["family"]
+            f = _json_value(item["family"], dict, "family record")
             domain = _json_value(f["domain"], list, "family domain")
             if len(domain) != 2:
                 raise ValueError(f"family domain must be [lo, hi], got {reprlib.repr(domain)}")
             lo, hi = (None if b is None else _json_value(b, int, "domain bound") for b in domain)
             gens.append(
                 Family(
-                    _endpoint_from_json(surface, f["e0"]),
-                    _endpoint_from_json(surface, f["e1"]),
+                    _endpoint_from_json(surface, f["e0"], "e0"),
+                    _endpoint_from_json(surface, f["e1"], "e1"),
                     IntRange(lo, hi),
                 )
             )
@@ -1062,8 +1045,17 @@ def triangulation_from_json(doc: dict) -> Triangulation:
         cert = CERTIFIED_MAXIMAL
     elif isinstance(spec, dict) and "window" in spec:
         window = _json_value(spec["window"], list, "certificate window")
+        require_window_points(len(window))
         pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in window)
         cert = Certificate(CertificateStatus.WINDOW_CHECKED, Window(surface, pts))
     elif spec is not None:
         raise ValueError(f'certificate must be "maximal" or {{"window": [...]}}, got {reprlib.repr(spec)}')
-    return Triangulation(surface, tuple(gens), cert)
+    t = Triangulation(surface, tuple(gens), cert)
+    # a window certificate is a claim the file makes: check it here, where it
+    # enters, and not in the constructor, which every flip also runs
+    missed = None if cert.window is None else _missed_window_arc(t, cert.window)
+    if missed is not None:
+        raise TriangulationError(
+            f"window certificate fails: {format_arc(missed)} is neither in the triangulation nor crossed by it"
+        )
+    return t

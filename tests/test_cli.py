@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from infgon import triangulation
 from infgon.acceptance import is_weak_ct
+from infgon.arcs import arc_key, format_arc, parse_arc
 from infgon.cli import main
 from infgon.render import POINT_LIMIT, RADIUS_LIMIT
-from infgon.surface import Surface
+from infgon.surface import Surface, format_point
 from infgon.triangulation import GENERATOR_LIMIT, Window, window_arcs, window_brute_force
 
 
@@ -134,6 +135,8 @@ def test_json_fields_are_checked_by_shape(tmp_path, capsys):
     refused with a message naming them, not read past."""
     single = {"single": "1:0-1:2"}
     twice = {"e0": {"interval": 1, "base": 0, "stride": 2}, "e1": {"interval": 1, "base": 2, "stride": -2}, "domain": [0, 1]}
+    # 1:0-1:(t - 3) has ends 1 apart at t = 2 and t = 4; t = 2 has the lower difference
+    degenerate = {"e0": "1:0", "e1": {"interval": 1, "base": -3, "stride": 1}, "domain": [0, None]}
     cases = (
         ({"surface": "completed:1", "generators": [single], "certificate": "bogus"}, "certificate must be \"maximal\""),
         ({"surface": "completed:1", "generators": [single], "certificate": {"window": "1:0"}},
@@ -142,6 +145,13 @@ def test_json_fields_are_checked_by_shape(tmp_path, capsys):
         ({"surface": "completed:1", "generators": [{**single, "family": _family_doc(0, [0, None])["generators"][0]["family"]}]},
          "generator record holds both 'single' and 'family'"),
         ({"surface": "completed:1", "generators": [{"family": twice}]}, "arc 1:0-1:2 appears twice in one family"),
+        ({"surface": "completed:1", "generators": [{"family": [1, 2]}]}, "family record must be a JSON dict, got [1, 2]"),
+        ({"surface": "completed:1", "generators": [{"family": {**twice, "e1": [1, 0, 1]}}]},
+         "family e1 must be a JSON dict, got [1, 0, 1]"),
+        ({"surface": "completed:1", "generators": [{"family": {**twice, "e1": 7}}]}, "family e1 must be a JSON dict, got 7"),
+        ({"surface": "completed:1", "generators": [{"family": {**twice, "e1": {"interval": 3, "base": 0, "stride": 1}}}]},
+         "moving endpoint interval 3 out of range"),
+        ({"surface": "completed:1", "generators": [{"family": degenerate}]}, "family degenerates at parameter 2"),
     )
     for i, (doc, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -245,6 +255,55 @@ def test_flip_roundtrip_through_files(tmp_path, capsys):
     assert payload == {"mutable": True}
     code, payload = run_json(capsys, "frame", "--triangulation", str(out_path), "--arc", "1:4-1:6")
     assert payload["u_left"] == "1:5" and payload["v_right"] == "1:5"
+
+
+def _window_doc(surface, bound, arcs) -> dict:
+    points = [format_point(p) for p in Window.symmetric(surface, bound).points]
+    generators = [{"single": format_arc(a)} for a in sorted(arcs, key=arc_key)]
+    return {"surface": surface.describe(), "generators": generators, "certificate": {"window": points}}
+
+
+def test_window_certificates_are_checked_on_load(tmp_path, capsys):
+    """A file's window certificate must hold: each window arc is in the
+    triangulation or crosses one of its arcs.  The first arc that is neither is named."""
+    c1 = Surface(True, 1)
+    full = next(T for T in window_brute_force(Window.symmetric(c1, 2)) if parse_arc(c1, "1:1-a1") in T)
+    dropped = full - {parse_arc(c1, "1:2-a1")}
+    cases = (
+        (_window_doc(c1, 1, ()), "window certificate fails: 1:-1-1:1 is neither in the triangulation nor crossed by it"),
+        (_window_doc(c1, 2, dropped), "window certificate fails: 1:2-a1 is neither"),
+        (_window_doc(Surface(True, 2), 3, ()), "window has 16 points, limit is 12"),
+    )
+    for i, (doc, named) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["mutable", "--triangulation", str(path), "--arc", "1:1-a1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), named
+        assert captured.err.startswith("error: ") and named in captured.err, captured.err
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(_window_doc(c1, 2, full)))
+    assert run_json(capsys, "mutable", "--triangulation", str(path), "--arc", "1:1-a1") == (0, {"mutable": True})
+
+
+def test_flip_of_a_window_set_writes_a_file_that_loads_again(tmp_path, capsys):
+    c1 = Surface(True, 1)
+    path, out_path = tmp_path / "window.json", tmp_path / "flipped.json"
+    for T in window_brute_force(Window.symmetric(c1, 2)):
+        path.write_text(json.dumps(_window_doc(c1, 2, T)))
+        for a in sorted(T, key=arc_key):
+            code, payload = run_json(capsys, "mutable", "--triangulation", str(path), "--arc", format_arc(a))
+            if payload == {"mutable": True}:
+                break
+        else:
+            continue
+        code, payload = run_json(capsys, "flip", "--triangulation", str(path), "--arc", format_arc(a), "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["certificate"] == _window_doc(c1, 2, ())["certificate"]
+        reloaded = run_json(capsys, "mutable", "--triangulation", str(out_path), "--arc", payload["new_arc"])
+        assert reloaded == (0, {"mutable": True})
+        return
+    pytest.fail("no window set of completed:1 at bound 2 has a mutable arc")
 
 
 def test_approx_verb(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import all_window_arcs, surface_and_arcs
-from infgon.arcs import Arc, ArcClass, canonical_lift, cross_transverse, parse_arc, shift_arc
+from infgon.arcs import Arc, ArcClass, canonical_lift, classify, cross_transverse, parse_arc, shift_arc
 from infgon.homs import (
     ExtCase,
     exchange_triangles,
@@ -139,6 +139,27 @@ def test_factors_over_examples():
     assert factors_over(
         parse_arc(U2, "1:0-2:4"), parse_arc(U2, "1:2-2:6"), ArcClass.PERSISTENT
     )
+
+
+@pytest.mark.parametrize("surface, bound, witness_bound", [(U2, 2, 5), (U4, 1, 4)])
+def test_factors_over_a_class_matches_window_witnesses(surface, bound, witness_bound):
+    """A nonzero map factors through an arc of a class exactly when some arc
+    of that class has one endpoint in each swept interval; the witnesses
+    come from a wider window than the pairs."""
+    witnesses = {cls: [a for a in all_window_arcs(surface, witness_bound) if classify(a) is cls]
+                 for cls in (ArcClass.COLLAPSING, ArcClass.PERSISTENT)}
+    arcs = all_window_arcs(surface, bound)
+    found = dict.fromkeys(witnesses, 0)
+    for g in arcs:
+        for d in arcs:
+            if hom_dim(g, d) != 1:
+                continue
+            sweep = sweep_intervals(g, d)
+            for cls, arcs_of_class in witnesses.items():
+                expected = any(sweep_contains(sweep, a) for a in arcs_of_class)
+                assert factors_over(g, d, cls) == expected, (g, d, cls)
+                found[cls] += expected
+    assert found[ArcClass.COLLAPSING] > 0 and found[ArcClass.PERSISTENT] > 0
 
 
 def test_sweep_membership_gives_nonzero_composites():

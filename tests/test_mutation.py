@@ -2,7 +2,7 @@
 
 import pytest
 
-from infgon import triangulation
+from infgon import acceptance, triangulation
 from infgon.arcs import Arc, arc_key, format_arc, parse_arc, shift_arc
 from infgon.homs import ext_dim, hom_dim
 from infgon.mutation import (
@@ -29,6 +29,7 @@ from infgon.triangulation import (
     from_window_set,
     neighbor_scan,
     validate_non_crossing,
+    window_arcs,
     window_brute_force,
 )
 
@@ -299,6 +300,21 @@ def test_module_generators_zigzag_not_finite():
     res = right_module_generators(z, parse_arc(C1, "1:0-a1"))
     assert isinstance(res, NotFinitelyGenerated)
     assert res.param_range.lo is not None or res.param_range.hi is None
+
+
+def test_module_generators_of_ladder_runs_are_verified():
+    """The zigzag's families have no fixed endpoint, so their bounded support
+    runs are loose arcs, grouped into fans at shared endpoints.  Every finite
+    answer on the bound-5 window must generate the support seen at bound 12."""
+    z = canonical_zigzag(C1)
+    finite = 0
+    for g in window_arcs(Window.symmetric(C1, 5)):
+        gens = right_module_generators(z, g)
+        if isinstance(gens, NotFinitelyGenerated):
+            continue
+        finite += 1
+        assert acceptance._verify_generation(z, g, gens, 12) is None, format_arc(g)
+    assert finite == 45
 
 
 def test_module_generators_need_certificate():

@@ -21,8 +21,10 @@ from infgon.triangulation import (
     duplicate_witness,
     family_param_of,
     validate_non_crossing,
+    visible_params,
     window_arcs,
 )
+from infgon.triangulation import _invalid_family_param
 
 
 @st.composite
@@ -204,3 +206,46 @@ def test_single_pairs_match_their_symbolic_twins(surface, bound):
         duplicate = duplicate_witness(surface, Single(a), Single(b))
         assert duplicate == (a if a == b else None)
         assert duplicate_witness(surface, twins[a], twins[b]) == duplicate
+
+
+def _position_gap(surface: Surface, fam: Family, t: int):
+    """Position difference of the instance at t when its ends share an
+    interval and are regular points, else None."""
+    p, q = (Point(surface, e.interval, e.pos_at(t)) if isinstance(e, Moving) else e for e in (fam.e0, fam.e1))
+    if p.pos is None or q.pos is None or p.interval != q.interval:
+        return None
+    return q.pos - p.pos
+
+
+@given(st.data())
+@settings(max_examples=400)
+def test_invalid_family_param_matches_brute_force(data):
+    """The reported parameter is the instance with equal or adjacent ends
+    whose position difference is lowest (the lowest such parameter on a tie)."""
+    surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 1)]))
+    fam = data.draw(bounded_families(surface))
+    gaps = {t: _position_gap(surface, fam, t) for t in fam.domain.iterate()}
+    bad = [t for t, gap in gaps.items() if gap is not None and abs(gap) <= 1]
+    expected = min(bad, key=lambda t: (gaps[t], t)) if bad else None
+    assert _invalid_family_param(surface, fam) == expected
+
+
+@st.composite
+def families_with_any_domain(draw, surface: Surface):
+    fam = draw(bounded_families(surface))
+    lo, hi = fam.domain.lo, fam.domain.hi
+    domain = draw(st.sampled_from([IntRange(lo, hi), IntRange(lo, None), IntRange(None, hi), IntRange(None, None)]))
+    return Family(fam.e0, fam.e1, domain)
+
+
+@given(st.data())
+@settings(max_examples=250)
+def test_visible_params_are_bounded(data):
+    """Every family has a moving end, and a window has finitely many
+    positions, so the visible parameters are empty or bounded, whatever the domain."""
+    surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 3)]))
+    fam = data.draw(families_with_any_domain(surface))
+    pts = Window.symmetric(surface, data.draw(st.integers(0, 4))).points
+    window = Window.of_points(data.draw(st.lists(st.sampled_from(pts), min_size=1, unique=True)))
+    params = visible_params(fam, window)
+    assert params.is_empty or params.is_bounded
