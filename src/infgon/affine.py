@@ -249,7 +249,8 @@ def sym_lt(p: SymPoint, q: SymPoint):
         return sp < sq
     if ap is None or aq is None:
         return False  # a slot holds at most one accumulation point
-    return LinIneq(aq[0] - ap[0], aq[1] - ap[1], aq[2] - ap[2] - 1)
+    a, b, c = aq[0] - ap[0], aq[1] - ap[1], aq[2] - ap[2] - 1
+    return c >= 0 if a == b == 0 else LinIneq(a, b, c)
 
 
 def sym_eq_atoms(p: SymPoint, q: SymPoint):
@@ -262,8 +263,10 @@ def sym_eq_atoms(p: SymPoint, q: SymPoint):
         return []
     if ap is None or aq is None:
         return False
-    diff = (aq[0] - ap[0], aq[1] - ap[1], aq[2] - ap[2])
-    return [LinIneq(*diff), LinIneq(-diff[0], -diff[1], -diff[2])]
+    a, b, c = aq[0] - ap[0], aq[1] - ap[1], aq[2] - ap[2]
+    if a == b == 0:
+        return [] if c == 0 else False
+    return [LinIneq(a, b, c), LinIneq(-a, -b, -c)]
 
 
 def orient_conjunctions(a: SymPoint, b: SymPoint, c: SymPoint) -> list[list[LinIneq]]:

@@ -35,7 +35,7 @@ from .mutation import (
     NotFinitelyGenerated,
 )
 from .render import RenderSpec, render_svg
-from .surface import format_point, parse_point, parse_surface
+from .surface import Surface, format_point, parse_point, parse_surface
 from .triangulation import (
     IntRange,
     Family,
@@ -118,8 +118,16 @@ def _write_out(path: str, text: str) -> None:
         raise UsageError(f"--out {path!r}: cannot write the file ({exc.strerror})")
 
 
-def _arc_pair(args) -> tuple[Arc, Arc]:
-    surface = parse_surface(args.surface)
+def _flavoured(args, surface: Surface, completed: bool | None) -> Surface:
+    """The parsed --surface, refused when the verb applies to the other flavour only."""
+    if completed is not None and surface.completed != completed:
+        flavour = "completed" if completed else "uncompleted"
+        raise UsageError(f"{args.verb} applies to {flavour} surfaces only, got {args.surface!r}")
+    return surface
+
+
+def _arc_pair(args, completed: bool | None = None) -> tuple[Arc, Arc]:
+    surface = _flavoured(args, parse_surface(args.surface), completed)
     return parse_arc(surface, args.src), parse_arc(surface, args.dst)
 
 
@@ -130,13 +138,13 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_ext(args) -> int:
-    g, d = _arc_pair(args)
+    g, d = _arc_pair(args, completed=True)
     _emit({"dim": ext_dim(g, d), "case": _CASE_NAMES[ext_case(g, d)]}, args.pretty)
     return EXIT_OK
 
 
 def _cmd_ext_oracle(args) -> int:
-    g, d = _arc_pair(args)
+    g, d = _arc_pair(args, completed=True)
     _emit({"dim": ext_dim_oracle(g, d)}, args.pretty)
     return EXIT_OK
 
@@ -148,14 +156,14 @@ def _cmd_cross(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    g, d = _arc_pair(args)
+    g, d = _arc_pair(args, completed=False)
     fam = _FAMILY_NAMES[args.family]
     _emit({"factors": factors_over(g, d, fam), "family": args.family}, args.pretty)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    surface = parse_surface(args.surface)
+    surface = _flavoured(args, parse_surface(args.surface), completed=False)
     arc = parse_arc(surface, args.arc)
     _emit({"class": classify(arc).value}, args.pretty)
     return EXIT_OK
@@ -175,6 +183,7 @@ def _cmd_window_ct(args) -> int:
     surface = parse_surface(args.surface)
     include_accumulation = not args.no_accumulation
     require_window_points(Window.symmetric_size(surface, args.bound, include_accumulation))
+    _flavoured(args, surface, completed=True)
     window = Window.symmetric(surface, args.bound, include_accumulation)
     sets = window_brute_force(window)
     arcs = window_arcs(window)
@@ -208,7 +217,7 @@ def _cmd_leapfrog(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    surface = parse_surface(args.surface)
+    surface = _flavoured(args, parse_surface(args.surface), completed=True)
     fixed = parse_point(surface, args.fixed)
     lo = None if args.lo is None else int(args.lo)
     hi = None if args.hi is None else int(args.hi)

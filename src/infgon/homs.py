@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arcs import Arc, ArcClass, canonical_lift, cross_transverse, keys_interleave, shift_arc, squeeze
-from .surface import MixedSurfaceError, Point, Surface, _orient, adjacent, between
+from .surface import MixedSurfaceError, Point, _orient, adjacent, between
 
 
 class ExtCase(Enum):
@@ -48,73 +48,50 @@ class BoundaryInterval:
             return True
         return _orient(self.start.circuit_key(), w.circuit_key(), self.end.circuit_key())
 
-    def segments(self) -> list[tuple]:
-        """Decompose into ('run', interval, lo, hi) and ('acc', interval) pieces, in order.
+    def runs_on(self, k: int) -> list[tuple[int | None, int | None]]:
+        """Position ranges of interval k's regular points inside, in order.
 
-        lo/hi are inclusive position bounds; None means unbounded on that side.
+        Read off the two ends alone; None means unbounded on that side.  Two
+        ranges come back only when the interval wraps from its start round
+        into the start's own marked interval.
         """
-        return _segments(self.start, self.end, True)
-
-    def runs(self) -> dict[int, list[tuple[int | None, int | None]]]:
-        """Position ranges of the regular points inside, keyed by the marked intervals met."""
-        out: dict[int, list[tuple[int | None, int | None]]] = {}
-        for seg in self.segments():
-            if seg[0] == "run":
-                out.setdefault(seg[1], []).append((seg[2], seg[3]))
-        return out
-
-
-def _surface_slots(surface: Surface) -> list[int]:
-    if surface.completed:
-        return list(range(1, 2 * surface.intervals + 1))
-    return list(range(1, 2 * surface.intervals, 2))
+        sx, px = self.start.circuit_key()
+        sy, py = self.end.circuit_key()
+        s = 2 * k - 1
+        if sx == sy:
+            if px <= py:  # the one point, or a stretch of one interval
+                return [(px, py)] if s == sx else []
+            return [(px, None), (None, py)] if s == sx else [(None, None)]
+        if s == sx:
+            return [(px, None)]
+        if s == sy:
+            return [(None, py)]
+        return [(None, None)] if _orient(sx, s, sy) else []
 
 
-def _segments(x: Point, y: Point, closed: bool) -> list[tuple]:
-    """Ordered decomposition of the boundary interval from x to y (anticlockwise).
+def _segments(x: Point, y: Point) -> list[tuple]:
+    """Ordered decomposition of the open anticlockwise interval (x, y), x != y.
 
-    Used both for closed sweep intervals and for the open intervals cut off by
-    an arc's endpoints; an open interval never has x == y.
+    Pieces are ('run', interval, lo, hi), with inclusive position bounds and
+    None for unbounded, and ('acc', interval).
     """
-    surface = x.surface
     sx, px = x.circuit_key()
     sy, py = y.circuit_key()
-    out: list[tuple] = []
-    inset = 0 if closed else 1
-
-    if x == y:
-        if x.pos is None:
-            return [("acc", x.interval)]
-        return [("run", x.interval, x.pos, x.pos)]
-
-    def head() -> None:
-        if x.pos is None:
-            if closed:
-                out.append(("acc", x.interval))
-        else:
-            out.append(("run", x.interval, px + inset, None))
-
-    def tail() -> None:
-        if y.pos is None:
-            if closed:
-                out.append(("acc", y.interval))
-        else:
-            out.append(("run", y.interval, None, py - inset))
-
     if sx == sy and px < py:
         # Same accumulation slot would force x == y, so both points are regular.
-        lo, hi = px + inset, py - inset
+        lo, hi = px + 1, py - 1
         return [("run", x.interval, lo, hi)] if lo <= hi else []
 
     # With sx == sy and px > py the interval wraps nearly the whole circle: i == j below.
-    head()
-    slots = _surface_slots(surface)
+    out: list[tuple] = [] if x.pos is None else [("run", x.interval, px + 1, None)]
+    slots = list(range(1, 2 * x.surface.intervals + 1, 1 if x.surface.completed else 2))
     i, j = slots.index(sx), slots.index(sy)
     middle = slots[i + 1 : j] if i < j else slots[i + 1 :] + slots[:j]
     for s in middle:
         out.append(("acc", s // 2) if s % 2 == 0 else ("run", (s + 1) // 2, None, None))
-    tail()
-    return [seg for seg in out if seg[0] == "acc" or seg[2] is None or seg[3] is None or seg[2] <= seg[3]]
+    if y.pos is not None:
+        out.append(("run", y.interval, None, py - 1))
+    return out
 
 
 def open_interval_segments(x: Point, y: Point) -> list[tuple]:
@@ -125,7 +102,7 @@ def open_interval_segments(x: Point, y: Point) -> list[tuple]:
     """
     if x == y:
         raise ValueError("open interval needs distinct endpoints")
-    return _segments(x, y, False)
+    return _segments(x, y)
 
 
 def _key_case(x: tuple[int, int], y: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> ExtCase:
@@ -226,22 +203,32 @@ def _ranges_admit_separated_pair(r0: tuple, r1: tuple) -> bool:
     return hi1 is None or lo0 is None or hi1 - lo0 >= 2
 
 
-def _collapsing_arc_in_sweep(runs0: dict, runs1: dict) -> bool:
-    for k, rs0 in runs0.items():
-        if k % 2 == 0 and any(_ranges_admit_separated_pair(r0, r1) for r0 in rs0 for r1 in runs1.get(k, ())):
-            return True
-    return False
+def _collapsing_arc_in_sweep(i0: BoundaryInterval, i1: BoundaryInterval) -> bool:
+    # the two sweeps are disjoint, so an interval both meet holds an end of each
+    return any(
+        k % 2 == 0 and any(_ranges_admit_separated_pair(r0, r1) for r0 in i0.runs_on(k) for r1 in i1.runs_on(k))
+        for k in (i0.start.interval, i0.end.interval)
+    )
 
 
-def _persistent_arc_in_sweep(runs0: dict, runs1: dict) -> bool:
-    odd0 = [k for k in runs0 if k % 2]
-    odd1 = [k for k in runs1 if k % 2]
-    if not odd0 or not odd1:
+def _first_odd_interval(sweep: BoundaryInterval) -> int | None:
+    """The first odd interval the sweep meets, if any: its (regular) start's, or the next."""
+    k = sweep.start.interval
+    if k % 2 == 0:
+        k = k % sweep.start.surface.intervals + 1
+        if not sweep.runs_on(k):
+            return None
+    return k
+
+
+def _persistent_arc_in_sweep(i0: BoundaryInterval, i1: BoundaryInterval) -> bool:
+    k0, k1 = _first_odd_interval(i0), _first_odd_interval(i1)
+    if k0 is None or k1 is None:
         return False
-    if any(k0 != k1 for k0 in odd0 for k1 in odd1):
-        return True
-    k = odd0[0]
-    return any(_ranges_admit_separated_pair(r0, r1) for r0 in runs0[k] for r1 in runs1[k])
+    # A persistent arc joins odd intervals, one met by each sweep.  A sweep that
+    # meets a second odd interval runs past its first, unbounded on a side there,
+    # so the separated-pair test holds: the first odd intervals decide.
+    return k0 != k1 or any(_ranges_admit_separated_pair(r0, r1) for r0 in i0.runs_on(k0) for r1 in i1.runs_on(k0))
 
 
 def factors_over(g: Arc, d: Arc, family: ArcClass | None = None) -> bool:
@@ -255,9 +242,9 @@ def factors_over(g: Arc, d: Arc, family: ArcClass | None = None) -> bool:
     if family is None:
         return True  # d itself (or g, for the identity) always qualifies
     if family is ArcClass.COLLAPSING:
-        return _collapsing_arc_in_sweep(i0.runs(), i1.runs())
+        return _collapsing_arc_in_sweep(i0, i1)
     if family is ArcClass.PERSISTENT:
-        return _persistent_arc_in_sweep(i0.runs(), i1.runs())
+        return _persistent_arc_in_sweep(i0, i1)
     raise ValueError(f"unsupported arc family {family}")
 
 
@@ -284,10 +271,9 @@ def ext_dim_oracle(g: Arc, d: Arc, lift_g: Arc | None = None, lift_d: Arc | None
     if hom_dim(lg, sld) != 1:
         return 0
     i0, i1 = sweep_intervals(lg, sld)
-    runs0, runs1 = i0.runs(), i1.runs()
-    if _collapsing_arc_in_sweep(runs0, runs1):
+    if _collapsing_arc_in_sweep(i0, i1):
         return 0
-    return 1 if _persistent_arc_in_sweep(runs0, runs1) else 0
+    return 1 if _persistent_arc_in_sweep(i0, i1) else 0
 
 
 @dataclass(frozen=True)

@@ -212,8 +212,9 @@ def format_point(p: Point) -> str:
 
 
 _SURFACE_RE = re.compile(r"^(uncompleted|completed):(\d+)$")
-# a swept boundary interval is decomposed interval by interval, so one
-# ext-oracle query on completed:200000 takes about 1 s and 150 MB
+# no query walks the marked intervals, so no running time depends on this
+# limit; it keeps surface tokens, and the circuit keys built from them, in a
+# documented range
 INTERVAL_LIMIT = 200_000
 
 

@@ -6,9 +6,13 @@ from infgon.affine import (
     FULL_RANGE,
     IntRange,
     LinIneq,
+    cross_conjunctions,
+    eq_conjunctions,
+    orient_conjunctions,
     solve_1var,
     solve_1var_range,
     solve_2var,
+    sym_lt,
 )
 
 ineq = st.builds(
@@ -80,3 +84,57 @@ def test_int_range_helpers():
     assert IntRange(2, 5).intersect(IntRange(4, None)) == IntRange(4, 5)
     assert IntRange(None, 3).intersect(IntRange(1, None)) == IntRange(1, 3)
     assert list(IntRange(2, 4).iterate()) == [2, 3, 4]
+
+
+# symbolic points on two intervals: an accumulation point (even slot) or an
+# affine position in i and j (odd slot), with small coefficients so that many
+# comparisons are constant
+sym_points = st.one_of(
+    st.builds(lambda k: (2 * k, None), st.integers(1, 2)),
+    st.builds(
+        lambda k, a, b, c: (2 * k - 1, (a, b, c)),
+        st.integers(1, 2),
+        st.integers(-1, 1),
+        st.integers(-1, 1),
+        st.integers(-2, 2),
+    ),
+)
+
+
+def _key(p, i: int, j: int) -> tuple[int, int]:
+    slot, aff = p
+    return (slot, 0) if aff is None else (slot, aff[0] * i + aff[1] * j + aff[2])
+
+
+def _orient(a, b, c) -> bool:
+    return (a < b) + (b < c) + (c < a) >= 2
+
+
+def _holds(dnf, i: int, j: int) -> bool:
+    return any(all(q.eval(i, j) >= 0 for q in conj) for conj in dnf)
+
+
+@given(st.lists(sym_points, min_size=4, max_size=4))
+@settings(max_examples=400)
+def test_builders_decide_constant_atoms(pts):
+    """No builder hands the solver an atom without an unknown, and the
+    reduced DNFs still state their predicates at every point of a box."""
+    p1, p2, q1, q2 = pts
+    lt = sym_lt(p1, p2)
+    assert isinstance(lt, bool) or (lt.a, lt.b) != (0, 0)
+    orient = orient_conjunctions(p1, p2, q1)
+    cross = cross_conjunctions((p1, p2), (q1, q2))
+    eq = eq_conjunctions((p1, p2), (q1, q2))
+    for conj in orient + cross + eq:
+        assert all(isinstance(atom, LinIneq) and (atom.a, atom.b) != (0, 0) for atom in conj)
+    for i in range(-3, 4):
+        for j in range(-3, 4):
+            k1, k2, l1, l2 = (_key(p, i, j) for p in pts)
+            if not isinstance(lt, bool):
+                assert (lt.eval(i, j) >= 0) == (k1 < k2)
+            else:
+                assert lt == (k1 < k2)
+            assert _holds(orient, i, j) == _orient(k1, k2, l1)
+            crossing = any(_orient(k1, r, k2) and _orient(k2, s, k1) for r, s in ((l1, l2), (l2, l1)))
+            assert _holds(cross, i, j) == crossing
+            assert _holds(eq, i, j) == ((k1, k2) == (l1, l2) or (k1, k2) == (l2, l1))

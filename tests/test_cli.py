@@ -356,6 +356,26 @@ def test_window_ct_checks_the_bound_before_building_the_window(capsys, monkeypat
     assert captured.err == "error: window has 200002 points, limit is 12\n"
 
 
+@pytest.mark.parametrize(
+    "argv, token, flavour",
+    [
+        (["ext", "--surface", "uncompleted:3", "--from", "1:0-1:4", "--to", "1:2-2:1"], "uncompleted:3", "completed"),
+        (["ext-oracle", "--surface", "uncompleted:2", "--from", "1:0-1:4", "--to", "1:2-2:1"], "uncompleted:2", "completed"),
+        (["limit", "--surface", "uncompleted:2", "--fixed", "1:0", "--interval", "2", "--base", "0", "--stride", "1"], "uncompleted:2", "completed"),
+        (["window-ct", "--surface", "uncompleted:3", "--bound", "1"], "uncompleted:3", "completed"),
+        (["factor", "--surface", "completed:2", "--from", "1:0-1:4", "--to", "1:2-2:1"], "completed:2", "uncompleted"),
+        (["classify", "--surface", " completed:2", "--arc", "1:0-1:4"], " completed:2", "uncompleted"),
+    ],
+)
+def test_wrong_surface_flavour_names_the_surface(capsys, monkeypatch, argv, token, flavour):
+    built = []
+    monkeypatch.setattr(Window, "symmetric", lambda *args, **kw: built.append(args))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, built) == (2, "", [])
+    assert captured.err == f"error: {argv[0]} applies to {flavour} surfaces only, got {token!r}\n"
+
+
 def test_generator_limit(tmp_path, capsys):
     # fountain(completed:N, 1:0) has 2N + 1 generators
     at_limit = (GENERATOR_LIMIT - 1) // 2
@@ -449,7 +469,6 @@ def test_render_point_limit_is_checked_before_building(tmp_path, capsys, monkeyp
 
 
 def test_surface_interval_limit(capsys):
-    # the oracle decomposes a swept interval interval by interval
     huge = "completed:" + "9" * 30
     for surface, n in ((huge, int("9" * 30)), ("uncompleted:200001", 200001)):
         code = main(["ext-oracle", "--surface", surface, "--from", "1:-1-1:1", "--to", "1:0-a1"])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import all_window_arcs
 from infgon import homs
-from infgon.arcs import Arc, ArcClass, canonical_lift, parse_arc, shift_arc, squeeze
+from infgon.arcs import Arc, ArcClass, canonical_lift, format_arc, parse_arc, shift_arc, squeeze
 from infgon.homs import ext_dim, ext_dim_oracle, factors_over, hom_dim
 from infgon.surface import Point, Surface
 from infgon.triangulation import Window, window_arcs
@@ -59,34 +59,51 @@ def test_oracle_lift_independence_sample():
 
 
 def test_oracle_path_builds_nothing_twice(monkeypatch):
-    """Shifts and lifts build no validated arc, each sweep decomposes each of
-    its two intervals at most once, and the oracle never consults ext_dim."""
+    """Shifts and lifts build no validated arc, no sweep is decomposed piece
+    by piece, the oracle never consults ext_dim, and each oracle call reads
+    a bounded number of runs whatever the surface's interval count."""
     arcs = window_arcs(Window.symmetric(C2, 3))
-    per_sweep: list[int] = []  # _segments calls following each sweep_intervals call
-    segments, sweep_intervals = homs._segments, homs.sweep_intervals
+    small = window_arcs(Window.symmetric(Surface(True, 3), 2))
+    # the same arcs on the first three intervals of a huge surface
+    huge = [parse_arc(Surface(True, 100_000), format_arc(a)) for a in small]
+    calls = {"runs_on": 0, "sweep_intervals": 0}
+    runs_on, sweep_intervals = homs.BoundaryInterval.runs_on, homs.sweep_intervals
 
     def refuse(*args):
-        raise AssertionError("validated on the oracle path")
+        raise AssertionError("validated or decomposed on the oracle path")
 
-    def counted_segments(*args):
-        per_sweep[-1] += 1
-        return segments(*args)
+    def counted_runs_on(self, k):
+        calls["runs_on"] += 1
+        # two ends for the collapsing test, two intervals a sweep for the persistent one
+        assert calls["runs_on"] <= 8, "runs_on called more than 8 times in one call"
+        return runs_on(self, k)
 
     def counted_sweep(g, d):
-        per_sweep.append(0)
+        calls["sweep_intervals"] += 1
         return sweep_intervals(g, d)
 
     monkeypatch.setattr(Arc, "__init__", refuse)
     monkeypatch.setattr(homs, "ext_dim", refuse)
-    monkeypatch.setattr(homs, "_segments", counted_segments)
+    monkeypatch.setattr(homs, "_segments", refuse)
+    monkeypatch.setattr(homs.BoundaryInterval, "runs_on", counted_runs_on)
     monkeypatch.setattr(homs, "sweep_intervals", counted_sweep)
-    for g in arcs:
-        for d in arcs:
-            hom_dim(g, d)
-            ext_dim_oracle(g, d)
-            lg, sld = canonical_lift(g), shift_arc(canonical_lift(d), 1)
-            if hom_dim(lg, sld):
-                for family in (None, ArcClass.COLLAPSING, ArcClass.PERSISTENT):
-                    factors_over(lg, sld, family)
-    assert len(per_sweep) > len(arcs) ** 2 // 4
-    assert max(per_sweep) == 2
+
+    def oracle_reads(pool: list) -> list[int]:
+        """runs_on calls of each ext_dim_oracle call over every ordered pair."""
+        out = []
+        for g in pool:
+            for d in pool:
+                hom_dim(g, d)
+                calls["runs_on"] = 0
+                ext_dim_oracle(g, d)
+                out.append(calls["runs_on"])
+                lg, sld = canonical_lift(g), shift_arc(canonical_lift(d), 1)
+                if hom_dim(lg, sld):
+                    for family in (None, ArcClass.COLLAPSING, ArcClass.PERSISTENT):
+                        calls["runs_on"] = 0
+                        factors_over(lg, sld, family)
+        return out
+
+    assert max(oracle_reads(arcs)) > 0
+    assert calls["sweep_intervals"] > len(arcs) ** 2 // 4
+    assert max(oracle_reads(small)) == max(oracle_reads(huge))

@@ -25,13 +25,66 @@ def _in_segments(segs, p: Point) -> bool:
     return False
 
 
+def _surface_slots(surface: Surface) -> list[int]:
+    if surface.completed:
+        return list(range(1, 2 * surface.intervals + 1))
+    return list(range(1, 2 * surface.intervals, 2))
+
+
+def _segments(x: Point, y: Point, closed: bool) -> list[tuple]:
+    """Reference route: the interval from x to y listed piece by piece, one
+    piece per marked interval or accumulation point met, closed or open.
+
+    It shares no code with ``BoundaryInterval`` or ``open_interval_segments``.
+    """
+    surface = x.surface
+    sx, px = x.circuit_key()
+    sy, py = y.circuit_key()
+    out: list[tuple] = []
+    inset = 0 if closed else 1
+
+    if x == y:
+        if x.pos is None:
+            return [("acc", x.interval)]
+        return [("run", x.interval, x.pos, x.pos)]
+
+    def head() -> None:
+        if x.pos is None:
+            if closed:
+                out.append(("acc", x.interval))
+        else:
+            out.append(("run", x.interval, px + inset, None))
+
+    def tail() -> None:
+        if y.pos is None:
+            if closed:
+                out.append(("acc", y.interval))
+        else:
+            out.append(("run", y.interval, None, py - inset))
+
+    if sx == sy and px < py:
+        # Same accumulation slot would force x == y, so both points are regular.
+        lo, hi = px + inset, py - inset
+        return [("run", x.interval, lo, hi)] if lo <= hi else []
+
+    # With sx == sy and px > py the interval wraps nearly the whole circle: i == j below.
+    head()
+    slots = _surface_slots(surface)
+    i, j = slots.index(sx), slots.index(sy)
+    middle = slots[i + 1 : j] if i < j else slots[i + 1 :] + slots[:j]
+    for s in middle:
+        out.append(("acc", s // 2) if s % 2 == 0 else ("run", (s + 1) // 2, None, None))
+    tail()
+    return [seg for seg in out if seg[0] == "acc" or seg[2] is None or seg[3] is None or seg[2] <= seg[3]]
+
+
 @given(surface_and_points(3))
 @settings(max_examples=300)
 def test_closed_interval_segments_match_cyclic_order(data):
     surface, (a, b, w) = data
     interval = BoundaryInterval(a, b)
     direct = interval.contains(w)
-    assert direct == _in_segments(interval.segments(), w)
+    assert direct == _in_segments(_segments(a, b, True), w)
     # and both agree with the raw cyclic-order definition
     if a == b:
         assert direct == (w == a)
@@ -40,20 +93,23 @@ def test_closed_interval_segments_match_cyclic_order(data):
         assert direct == expected
 
 
-def _position_ranges(interval: BoundaryInterval, k: int) -> list:
-    """Reference route: the position ranges of interval k, filtered from the decomposition."""
-    return [(seg[2], seg[3]) for seg in interval.segments() if seg[0] == "run" and seg[1] == k]
+def _in_runs(runs: list, p: Point) -> bool:
+    return p.pos is not None and any((lo is None or p.pos >= lo) and (hi is None or p.pos <= hi) for lo, hi in runs)
 
 
 @given(surface_and_points(2))
 @settings(max_examples=300)
 def test_runs_group_the_decomposition_by_interval(data):
+    """``runs_on(k)`` lists the reference decomposition's runs on interval k,
+    in order, and holds exactly the regular window points ``contains`` holds."""
     surface, (a, b) = data
     interval = BoundaryInterval(a, b)
-    runs = interval.runs()
-    assert set(runs) <= set(range(1, surface.intervals + 1))
+    segs = _segments(a, b, True)
     for k in range(1, surface.intervals + 1):
-        assert runs.get(k, []) == _position_ranges(interval, k)
+        assert interval.runs_on(k) == [(seg[2], seg[3]) for seg in segs if seg[0] == "run" and seg[1] == k]
+    for w in all_window_points(surface, 10):
+        runs = interval.runs_on(w.interval)
+        assert _in_runs(runs, w) == (w.pos is not None and interval.contains(w)), w
 
 
 @given(surface_and_points(3))
@@ -63,6 +119,7 @@ def test_open_interval_segments_match_cyclic_order(data):
     if a == b:
         return
     segs = open_interval_segments(a, b)
+    assert segs == _segments(a, b, False)
     got = _in_segments(segs, w)
     expected = w not in (a, b) and cyclic_ordered(a, [w, b])
     assert got == expected
