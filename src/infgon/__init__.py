@@ -1,91 +1,1 @@
 """Exact combinatorics of arcs on discs with infinitely many marked points."""
-
-from .arcs import (
-    Arc,
-    ArcClass,
-    canonical_lift,
-    classify,
-    cross_transverse,
-    format_arc,
-    parse_arc,
-    shift_arc,
-    squeeze,
-)
-from .homs import (
-    BoundaryInterval,
-    ExchangeSides,
-    ExtCase,
-    exchange_triangles,
-    ext_ambient_dim,
-    ext_case,
-    ext_dim,
-    ext_dim_oracle,
-    factors_over,
-    hom_dim,
-    sweep_contains,
-    sweep_intervals,
-)
-from .mutation import (
-    UNDEFINED,
-    ApproxResult,
-    Conflation,
-    MutabilityError,
-    MutationResult,
-    NotFinitelyGenerated,
-    QuadFrame,
-    approximate,
-    flip,
-    is_mutable,
-    mutability_report,
-    quad_frame,
-    right_module_generators,
-)
-from .surface import (
-    MixedSurfaceError,
-    Point,
-    Surface,
-    adjacent,
-    cyclic_ordered,
-    format_point,
-    parse_point,
-    parse_surface,
-    step,
-)
-from .triangulation import (
-    CERTIFIED_MAXIMAL,
-    Certificate,
-    CertificateStatus,
-    CrossingError,
-    DuplicateArcError,
-    Family,
-    FamilyLimit,
-    IntRange,
-    LeapfrogError,
-    LeapfrogWitness,
-    LimitKind,
-    Moving,
-    NeighborScan,
-    NonCrossingReport,
-    Progression,
-    ResourceLimitError,
-    Side,
-    Single,
-    Triangulation,
-    TriangulationError,
-    Window,
-    build_fountain,
-    build_zigzag_leapfrog,
-    canonical_zigzag,
-    detect_leapfrog,
-    from_window_set,
-    limit_of_family,
-    neighbor_scan,
-    triangulation_from_json,
-    triangulation_to_json,
-    validate_non_crossing,
-    window_arcs,
-    window_brute_force,
-    window_check,
-)
-
-__version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .homs import (
     ext_dim,
     ext_dim_oracle,
     hom_dim,
+    is_weak_ct,
     sweep_contains,
     sweep_intervals,
 )
@@ -185,16 +186,6 @@ def _ct_windows(level: str) -> list[Window]:
     if level != "smoke":
         wins.append(Window.symmetric(s1, 4))
     return wins
-
-
-def is_weak_ct(arcs_of_window: tuple[Arc, ...], T: frozenset[Arc]) -> bool:
-    """T is weak cluster-tilting among the window arcs: exactly the arcs
-    without extensions to T, and exactly those without extensions from T."""
-    right = {x for x in arcs_of_window if all(ext_dim(x, t) == 0 for t in T)}
-    if right != set(T):
-        return False
-    left = {x for x in arcs_of_window if all(ext_dim(t, x) == 0 for t in T)}
-    return left == set(T)
 
 
 @_criterion("5 window weak cluster-tilting bijection")

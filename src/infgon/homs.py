@@ -166,6 +166,16 @@ def ext_dim(g: Arc, d: Arc) -> int:
     return 1 if cross_transverse(g, d) else 0
 
 
+def is_weak_ct(arcs_of_window: tuple[Arc, ...], T: frozenset[Arc]) -> bool:
+    """T is weak cluster-tilting among the window arcs: exactly the arcs
+    without extensions to T, and exactly those without extensions from T."""
+    right = {x for x in arcs_of_window if all(ext_dim(x, t) == 0 for t in T)}
+    if right != set(T):
+        return False
+    left = {x for x in arcs_of_window if all(ext_dim(t, x) == 0 for t in T)}
+    return left == set(T)
+
+
 def sweep_intervals(g: Arc, d: Arc) -> tuple[BoundaryInterval, BoundaryInterval]:
     """The two boundary intervals swept when rotating g clockwise onto d.
 

@@ -63,6 +63,10 @@ WINDOW_POINT_LIMIT = 12
 # every generator pair is checked with the solver, so load time grows with the
 # square of the count: a fountain of 199 generators (completed:99) takes 0.5 s
 GENERATOR_LIMIT = 200
+# the solver's splinter search loops up to a family's stride, so load time
+# grows linearly with it: 200 certified families with both ends moving, of
+# strides 20 and 19, take 3.3-3.9 s to load (0.9-1.2 s at strides 2 and 1)
+STRIDE_LIMIT = 20
 
 
 def require_window_points(m: int) -> None:
@@ -377,6 +381,8 @@ class Triangulation:
                     if isinstance(e, Moving):
                         if not 1 <= e.interval <= self.surface.intervals:
                             raise TriangulationError(f"moving endpoint interval {e.interval} out of range")
+                        if abs(e.stride) > STRIDE_LIMIT:
+                            raise ResourceLimitError(f"family stride {e.stride} exceeds the limit {STRIDE_LIMIT}")
                     elif e.surface is not self.surface:
                         raise TriangulationError("fixed endpoint on the wrong surface")
                 bad = _invalid_family_param(self.surface, gen)

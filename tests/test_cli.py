@@ -1,20 +1,23 @@
 import contextlib
 import io
 import json
+import math
+import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import triangulation
-from infgon.acceptance import is_weak_ct
+from infgon import affine, triangulation
 from infgon.arcs import arc_key, format_arc, parse_arc
 from infgon.cli import main
+from infgon.homs import is_weak_ct
 from infgon.render import POINT_LIMIT, RADIUS_LIMIT
 from infgon.surface import Surface, format_point
-from infgon.triangulation import GENERATOR_LIMIT, Window, window_arcs, window_brute_force
+from infgon.triangulation import GENERATOR_LIMIT, STRIDE_LIMIT, Window, window_arcs, window_brute_force
 
 
 def run(capsys, *argv):
@@ -176,9 +179,10 @@ _json_values = st.recursive(
     max_leaves=6,
 )
 _small_ints = st.one_of(st.integers(-3, 3), _json_values)
+_strides = st.one_of(_small_ints, st.sampled_from([STRIDE_LIMIT, -STRIDE_LIMIT, STRIDE_LIMIT + 1, -STRIDE_LIMIT - 1, 10**8]))
 _endpoints = st.one_of(
     st.sampled_from(["1:0", "1:3", "2:1", "a1", "a2"]),
-    st.fixed_dictionaries({"interval": _small_ints, "base": _small_ints, "stride": _small_ints}),
+    st.fixed_dictionaries({"interval": _small_ints, "base": _small_ints, "stride": _strides}),
     _json_values,
 )
 _families = st.fixed_dictionaries(
@@ -255,6 +259,12 @@ def test_flip_roundtrip_through_files(tmp_path, capsys):
     assert payload == {"mutable": True}
     code, payload = run_json(capsys, "frame", "--triangulation", str(out_path), "--arc", "1:4-1:6")
     assert payload["u_left"] == "1:5" and payload["v_right"] == "1:5"
+
+
+def test_flip_without_an_extremum_fails(capsys):
+    # at 1:0 the neighbours of 1:0-a1 are the fan arcs 1:0-1:k, with no extremum on either side
+    assert run_json(capsys, "flip", "--triangulation", "fountain(completed:1,1:0)", "--arc", "1:0-a1") == (
+        1, {"flipped": False, "reason": "NoExtremum"})
 
 
 def _window_doc(surface, bound, arcs) -> dict:
@@ -412,6 +422,36 @@ def test_generator_list_is_checked_before_any_entry_is_parsed(tmp_path, capsys, 
         assert (code, captured.out, captured.err) == (2, "", err)
 
 
+def _fan_pair(stride) -> dict:
+    # two fans from a2 onto interval 1, on the two residues 0 and 1
+    fans = [{"family": {"e0": "a2", "e1": {"interval": 1, "base": base, "stride": stride}, "domain": [None, None]}}
+            for base in (0, 1)]
+    return {"surface": "completed:2", "generators": fans}
+
+
+def test_stride_limit(tmp_path, capsys, monkeypatch):
+    """A family stride over the limit is refused before any solver call; a
+    file at the limit loads."""
+    path = tmp_path / "fans.json"
+    for stride in (STRIDE_LIMIT, -STRIDE_LIMIT):
+        path.write_text(json.dumps(_fan_pair(stride)))
+        assert run_json(capsys, "validate", "--triangulation", str(path)) == (0, {"ok": True})
+
+    def refuse(*args):
+        raise AssertionError("called the solver")
+
+    monkeypatch.setattr(affine, "solve_2var", refuse)
+    for stride in (100_000_000, STRIDE_LIMIT + 1, -STRIDE_LIMIT - 1):
+        path.write_text(json.dumps(_fan_pair(stride)))
+        start = time.perf_counter()
+        code = main(["validate", "--triangulation", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), stride
+        assert captured.err == f"error: family stride {stride} exceeds the limit {STRIDE_LIMIT}\n"
+        assert elapsed < 1.0
+
+
 def test_leapfrog_and_approx_object(capsys):
     code, payload = run_json(capsys, "leapfrog", "--triangulation", "zigzag(completed:1)")
     assert payload["leapfrog"] is True
@@ -421,6 +461,8 @@ def test_leapfrog_and_approx_object(capsys):
         capsys, "approx-object", "--triangulation", "zigzag(completed:1)", "--arc", "1:0-a1"
     )
     assert payload["finite"] is False
+    assert run_json(capsys, "approx-object", "--triangulation", "fountain(completed:1,1:0)", "--arc", "1:-3-1:2") == (
+        0, {"finite": True, "generators": ["1:0-1:3"]})
 
 
 def test_limit_verb(capsys):
@@ -429,6 +471,10 @@ def test_limit_verb(capsys):
         "--interval", "1", "--base", "2", "--stride", "1", "--lo", "0",
     )
     assert payload == {"arc": "1:0-a1", "kind": "arc"}
+    assert run_json(
+        capsys, "limit", "--surface", "completed:1", "--fixed", "a1",
+        "--interval", "1", "--base", "0", "--stride", "1", "--lo", "0",
+    ) == (0, {"kind": "accumulation-point", "point": "a1"})
 
 
 def test_render_verb(tmp_path, capsys):
@@ -439,6 +485,32 @@ def test_render_verb(tmp_path, capsys):
     )
     assert code == 0 and payload["arcs"] == 11
     assert out.read_text().startswith("<svg")
+
+
+def test_render_needs_a_subject(tmp_path, capsys):
+    out = tmp_path / "pic.svg"
+    code = main(["render", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "") and not out.exists()
+    assert captured.err == "error: render needs --triangulation, or --surface with --arcs\n"
+
+
+def test_render_marks_an_escape_between_uncompleted_intervals(tmp_path, capsys):
+    """With no accumulation point to mark a gap, the truncation tick of a
+    family escaping up interval 1 sits midway between 1:3 and 2:-3."""
+    doc = tmp_path / "fan.json"
+    doc.write_text(json.dumps({"surface": "uncompleted:2", "generators": [
+        {"family": {"e0": "1:0", "e1": {"interval": 1, "base": 2, "stride": 1}, "domain": [0, None]}}]}))
+    out = tmp_path / "pic.svg"
+    code, payload = run_json(capsys, "render", "--triangulation", str(doc), "--radius", "3", "--out", str(out))
+    assert (code, payload["points"], payload["arcs"]) == (0, 14, 2)
+    svg = out.read_text()
+    ticks = re.findall(r'class="trunc" d="M [\d.]+ [\d.]+ L ([\d.]+) ([\d.]+)"', svg)
+    points = re.findall(r'class="pt" cx="([\d.]+)" cy="([\d.]+)"', svg)
+    assert len(ticks) == 1 and len(points) == 14
+    tip = tuple(map(float, ticks[0]))
+    last_of_1, first_of_2 = (tuple(map(float, p)) for p in points[6:8])  # 1:3 and 2:-3 in window order
+    assert math.dist(tip, last_of_1) == pytest.approx(math.dist(tip, first_of_2), abs=0.02)
 
 
 def test_render_radius_limit(tmp_path, capsys):

@@ -89,6 +89,23 @@ def test_leapfrog_alignment_with_offset_indexing():
     assert w is not None and w.offset == -5
 
 
+def test_downward_ladder_is_the_same_leapfrog():
+    """canonical_zigzag reparametrised by t -> -t presents the same arcs with
+    a chain that runs down to -infinity."""
+    alpha = Family(Moving(1, 0, -1), Moving(1, 0, 1), IntRange(None, -1))
+    beta = Family(Moving(1, 1, -1), Moving(1, 0, 1), IntRange(None, -1))
+    up, down = canonical_zigzag(C1), build_zigzag_leapfrog(C1, alpha, beta)
+    w_up, w_down = detect_leapfrog(up), detect_leapfrog(down)
+    assert (w_up.direction, w_down.direction) == (1, -1)
+    assert sorted(w_down.curve_ends) == sorted(w_up.curve_ends)
+    window = Window.symmetric(C1, 6)
+    assert down.arcs_in_window(window) == up.arcs_in_window(window)
+    # the zigzag queries of criterion 8
+    for k in range(-5, 5):
+        g = Arc(C1.point(1, k), C1.accumulation(1))
+        assert isinstance(right_module_generators(down, g), NotFinitelyGenerated), k
+
+
 def test_cross_gap_ladder_detected_but_not_certifiable():
     # a ladder whose tips straddle one accumulation point of a two-gap disc;
     # its complement holds the whole second gap, so no finite closing set

@@ -1,14 +1,18 @@
 """Frames, approximations, flips and module generators."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from infgon import acceptance, triangulation
+from infgon.affine import IntRange
 from infgon.arcs import Arc, arc_key, format_arc, parse_arc, shift_arc
 from infgon.homs import ext_dim, hom_dim
 from infgon.mutation import (
     UNDEFINED,
     MutabilityError,
     NotFinitelyGenerated,
+    _merge_ranges,
     approximate,
     flip,
     is_mutable,
@@ -315,6 +319,25 @@ def test_module_generators_of_ladder_runs_are_verified():
         finite += 1
         assert acceptance._verify_generation(z, g, gens, 12) is None, format_arc(g)
     assert finite == 45
+
+
+_bounds = st.one_of(st.none(), st.integers(-8, 8))
+
+
+@given(st.lists(st.builds(IntRange, _bounds, _bounds), max_size=5))
+@example([IntRange(0, 2), IntRange(3, 5)])  # touching
+@example([IntRange(4, 9), IntRange(0, 5), IntRange(9, 9)])  # overlapping, out of order
+@example([IntRange(2, None), IntRange(None, -3), IntRange(-1, 0), IntRange(None, 1)])
+def test_merge_ranges_is_the_union(ranges):
+    """The merged ranges cover the union of the ranges, point by point over
+    a box wider than the bounds, and are sorted, non-empty and separated by
+    a gap, so touching and overlapping ranges become one."""
+    merged = _merge_ranges(ranges)
+    for v in range(-12, 13):
+        assert any(r.contains(v) for r in merged) == any(r.contains(v) for r in ranges), v
+    assert not any(r.is_empty for r in merged)
+    for left, right in zip(merged, merged[1:]):
+        assert left.hi is not None and right.lo is not None and left.hi + 1 < right.lo
 
 
 def test_module_generators_need_certificate():
