@@ -1,11 +1,12 @@
 """Exact feasibility for linear inequalities in at most two integer unknowns.
 
-The triangulation store presents every pairwise question about affine arc
-families (do two instances cross, coincide, share an endpoint?) as a small
-system of strict integer inequalities in the two family parameters.  This
-module decides such systems exactly, including the thin-strip cases where
+The triangulation store presents every pairwise question about two affine
+arc families (do two instances cross, coincide?) as a small system of
+strict integer inequalities in the two family parameters.  This module
+decides such systems exactly, including the thin-strip cases where
 rational relaxation admits points but the integers do not, and returns a
-witness assignment when one exists.
+witness assignment when one exists.  A fixed arc against a family is a
+question in one parameter, answered by ``solve_1var_range``.
 
 Inequalities are written a*i + b*j + c >= 0.  Symbolic boundary points are
 (slot, affine) pairs: slot is the circuit slot of the interval, affine is
@@ -65,6 +66,10 @@ class IntRange:
     def width_at_most(self, n: int) -> bool:
         return self.is_bounded and self.hi - self.lo + 1 <= n
 
+    def witness(self) -> int:
+        """The member a solver reports: the lower bound, else the upper, else 0."""
+        return self.lo if self.lo is not None else 0 if self.hi is None else self.hi
+
 
 FULL_RANGE = IntRange(None, None)
 EMPTY_RANGE = IntRange(0, -1)
@@ -86,13 +91,7 @@ def range_ineqs(r: IntRange, var: int) -> list[LinIneq]:
 def solve_1var(ineqs: Sequence[tuple[int, int]]) -> Optional[int]:
     """Find an integer i with a*i + c >= 0 for every (a, c), or None."""
     r = solve_1var_range(ineqs)
-    if r is None:
-        return None
-    if r.lo is not None:
-        return r.lo
-    if r.hi is not None:
-        return r.hi
-    return 0
+    return None if r is None else r.witness()
 
 
 def solve_1var_range(ineqs: Sequence[tuple[int, int]]) -> Optional[IntRange]:
@@ -127,7 +126,8 @@ def solve_2var(
 
     Variable elimination with dark shadows, falling back to modular
     splinters when coefficients exceed one, so the answer is exact for
-    arbitrary integer coefficients.
+    arbitrary integer coefficients.  An empty real shadow ends the search
+    before any splinter.
     """
     system = list(ineqs) + range_ineqs(i_range, 0) + range_ineqs(j_range, 1)
     i_only: list[tuple[int, int]] = []
@@ -146,29 +146,9 @@ def solve_2var(
             uppers.append((-q.b, q.a, q.c))
 
     def j_for(i: int) -> Optional[int]:
-        jlo: int | None = None
-        jhi: int | None = None
-        for b, a, c in lowers:
-            bound = _ceil_div(-a * i - c, b)
-            jlo = bound if jlo is None else max(jlo, bound)
-        for d, a, c in uppers:
-            bound = (a * i + c) // d
-            jhi = bound if jhi is None else min(jhi, bound)
-        if jlo is not None and jhi is not None and jlo > jhi:
-            return None
-        if jlo is not None:
-            return jlo
-        if jhi is not None:
-            return jhi
-        return 0
+        return solve_1var([(b, a * i + c) for b, a, c in lowers] + [(-d, a * i + c) for d, a, c in uppers])
 
-    if not lowers or not uppers:
-        i = solve_1var(i_only)
-        if i is None:
-            return None
-        j = j_for(i)
-        return None if j is None else (i, j)
-
+    real = list(i_only)
     dark = list(i_only)
     exact = True
     for b, aL, cL in lowers:
@@ -177,6 +157,7 @@ def solve_2var(
             coef = b * aU + d * aL
             const = b * cU + d * cL
             slack = (b - 1) * (d - 1)
+            real.append((coef, const))
             dark.append((coef, const - slack))
             if slack:
                 exact = False
@@ -185,7 +166,8 @@ def solve_2var(
         j = j_for(i)
         if j is not None:
             return (i, j)
-    if exact:
+    # with no rational point there is no integer point
+    if exact or solve_1var_range(real) is None:
         return None
 
     # Splinter search: any solution missed by the dark shadow has
@@ -195,34 +177,18 @@ def solve_2var(
         if b == 1:
             continue
         t_max = (b * dmax - b - dmax) // dmax
+        g = gcd(aL % b, b)
+        modulus = b // g
         for t in range(t_max + 1):
-            g = gcd(aL % b, b) if aL % b else b
             rhs = (t - cL) % b
             if rhs % g:
                 continue
-            if aL % b == 0:
-                if rhs:
-                    continue
-                residue, modulus = 0, 1
-            else:
-                modulus = b // g
-                residue = ((rhs // g) * _mod_inverse((aL % b) // g, modulus)) % modulus
+            residue = ((rhs // g) * _mod_inverse((aL % b) // g, modulus)) % modulus
             # substitute i = residue + modulus*s and b*j = -aL*i - cL + t
             sub: list[tuple[int, int]] = []
-            ok = True
             for q in system:
                 a2 = q.a * b - q.b * aL
-                c2 = q.c * b + q.b * (t - cL)
-                coef_s = a2 * modulus
-                const = a2 * residue + c2
-                if coef_s == 0:
-                    if const < 0:
-                        ok = False
-                        break
-                else:
-                    sub.append((coef_s, const))
-            if not ok:
-                continue
+                sub.append((a2 * modulus, a2 * residue + q.c * b + q.b * (t - cL)))
             s = solve_1var(sub)
             if s is None:
                 continue

@@ -212,17 +212,10 @@ def format_point(p: Point) -> str:
 
 
 _SURFACE_RE = re.compile(r"^(uncompleted|completed):(\d+)$")
-# no query walks the marked intervals, so no running time depends on this
-# limit; it keeps surface tokens, and the circuit keys built from them, in a
-# documented range
-INTERVAL_LIMIT = 200_000
 
 
 def parse_surface(text: str) -> Surface:
     m = _SURFACE_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse surface {text!r} (expected 'completed:n' or 'uncompleted:m')")
-    n = int(m.group(2))
-    if n > INTERVAL_LIMIT:
-        raise ValueError(f"surface {text.strip()!r} has {n} intervals, limit is {INTERVAL_LIMIT}")
-    return Surface(m.group(1) == "completed", n)
+    return Surface(m.group(1) == "completed", int(m.group(2)))

@@ -3,11 +3,11 @@
 A triangulation is stored as a list of generators: single arcs plus affine
 families whose endpoints move along one interval with a fixed stride.  That
 vocabulary covers fountains, fans, split fans and zigzag ladders.  Two
-single arcs are compared directly: they cross when their circuit keys
-interleave and coincide when they are equal.  Every pairwise predicate
-involving a family (crossing, duplication, membership) reduces to integer
-linear feasibility in the family parameters, decided exactly by
-:mod:`infgon.affine`.
+single arcs are compared directly, by their circuit keys.  A fixed arc
+against a family is a question in the family parameter alone: position
+arithmetic for membership, one-variable feasibility per conjunction for
+crossing.  Two families reduce to integer linear feasibility in both
+parameters, decided exactly by :mod:`infgon.affine`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .affine import (
     EMPTY_RANGE,
@@ -255,38 +255,48 @@ def _gen_sym_pair(gen: Generator, var: int) -> tuple[SymPoint, SymPoint]:
     return (_sym_endpoint(gen.e0, var), _sym_endpoint(gen.e1, var))
 
 
-def _gen_domain(gen: Generator) -> IntRange:
-    return IntRange(0, 0) if isinstance(gen, Single) else gen.domain
-
-
-def _instantiate(surface: Surface, gen: Generator, t: int) -> Arc:
-    return gen.arc if isinstance(gen, Single) else gen.arc_at(surface, t)
-
-
-def _first_model(dnf, gen_a: Generator, gen_b: Generator, same: bool) -> Optional[tuple[int, int]]:
+def _first_model(dnf, fam_a: Family, fam_b: Family, same: bool) -> Optional[tuple[int, int]]:
     """The first model, in DNF order, of ``dnf(pair_a, pair_b)`` over the two
-    generators' symbolic endpoints and domains; ``same`` adds i < j."""
-    conjunctions = dnf(_gen_sym_pair(gen_a, 0), _gen_sym_pair(gen_b, 1))
-    dom_a, dom_b = _gen_domain(gen_a), _gen_domain(gen_b)
+    families' symbolic endpoints and domains; ``same`` adds i < j."""
+    conjunctions = dnf(_gen_sym_pair(fam_a, 0), _gen_sym_pair(fam_b, 1))
     extra = (LinIneq(-1, 1, -1),) if same else ()
     for conj in conjunctions:
-        m = conjunction_model(conj, dom_a, dom_b, extra)
+        m = conjunction_model(conj, fam_a.domain, fam_b.domain, extra)
         if m is not None:
             return m
     return None
 
 
+def _param_ranges(fam: Family, dnf: list[list[LinIneq]]) -> Iterator[IntRange]:
+    """The parameters of ``fam`` satisfying each conjunction of ``dnf``, a DNF
+    in that parameter alone, in DNF order; unsatisfiable conjunctions are skipped."""
+    bounds = [(q.a, q.c) for q in range_ineqs(fam.domain, 0)]
+    for conj in dnf:
+        r = solve_1var_range([(atom.a, atom.c) for atom in conj] + bounds)
+        if r is not None:
+            yield r
+
+
 def crossing_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same: bool = False) -> Optional[tuple[Arc, Arc]]:
     """A crossing pair of instances of the two generators, or None.
 
-    ``same`` restricts to distinct instances (i < j) of one generator passed
+    ``same`` restricts to distinct instances (i < j) of one family passed
     twice.  Two fixed arcs are decided directly by interleaving of their
-    circuit keys, which is what the symbolic DNF encodes for them.
+    circuit keys, which is what the symbolic DNF encodes for them; a family
+    against a fixed arc is a question in the family parameter alone.
     """
     if isinstance(gen_a, Single) and isinstance(gen_b, Single):
         return (gen_a.arc, gen_b.arc) if cross_transverse(gen_a.arc, gen_b.arc) else None
-    m = _first_model(cross_conjunctions, gen_a, gen_b, same)
-    return None if m is None else (_instantiate(surface, gen_a, m[0]), _instantiate(surface, gen_b, m[1]))
+    if isinstance(gen_a, Family) and isinstance(gen_b, Family):
+        m = _first_model(cross_conjunctions, gen_a, gen_b, same)
+        return None if m is None else (gen_a.arc_at(surface, m[0]), gen_b.arc_at(surface, m[1]))
+    fam = gen_a if isinstance(gen_a, Family) else gen_b
+    # the first satisfiable conjunction in argument order, at the parameter a solver reports
+    r = next(_param_ranges(fam, cross_conjunctions(_gen_sym_pair(gen_a, 0), _gen_sym_pair(gen_b, 0))), None)
+    if r is None:
+        return None
+    arc = fam.arc_at(surface, r.witness())
+    return (arc, gen_b.arc) if fam is gen_a else (gen_a.arc, arc)
 
 
 def ext_param_ranges(fam: Family, g: Arc) -> list[IntRange]:
@@ -301,25 +311,22 @@ def ext_param_ranges(fam: Family, g: Arc) -> list[IntRange]:
     if p is not None and p.pos is None and g.has_endpoint(p):
         moving = _sym_endpoint(fam.moving_endpoints[0], 0)
         dnf += orient_conjunctions(_sym_fixed(p), _sym_fixed(g.other_endpoint(p)), moving)
-    bounds = [(q.a, q.c) for q in range_ineqs(fam.domain, 0)]
-    ranges: list[IntRange] = []
-    for conj in dnf:
-        r = solve_1var_range([(atom.a, atom.c) for atom in conj] + bounds)
-        if r is not None:
-            ranges.append(r)
-    return ranges
+    return list(_param_ranges(fam, dnf))
 
 
 def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same: bool = False) -> Optional[Arc]:
     """An arc instantiated by both generators, or None; two fixed arcs are compared directly.
 
-    ``same`` restricts to distinct instances (i < j) of one generator passed
+    ``same`` restricts to distinct instances (i < j) of one family passed
     twice, as in :func:`crossing_witness`.
     """
     if isinstance(gen_a, Single) and isinstance(gen_b, Single):
         return gen_a.arc if gen_a.arc == gen_b.arc else None
-    m = _first_model(eq_conjunctions, gen_a, gen_b, same)
-    return None if m is None else _instantiate(surface, gen_a, m[0])
+    if isinstance(gen_a, Family) and isinstance(gen_b, Family):
+        m = _first_model(eq_conjunctions, gen_a, gen_b, same)
+        return None if m is None else gen_a.arc_at(surface, m[0])
+    fam, single = (gen_a, gen_b) if isinstance(gen_a, Family) else (gen_b, gen_a)
+    return None if family_param_of(surface, fam, single.arc) is None else single.arc
 
 
 def _invalid_family_param(surface: Surface, fam: Family) -> Optional[int]:

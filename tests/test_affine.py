@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infgon import affine
 from infgon.affine import (
     EMPTY_RANGE,
     FULL_RANGE,
@@ -68,6 +69,55 @@ def test_modular_strip():
     assert solve_2var(system) is None
     system[3] = LinIneq(-1, 0, 3)
     assert solve_2var(system) == (3, 1)
+
+
+@st.composite
+def large_systems(draw):
+    """Half-planes and thin strips with coefficients up to 10^4, drawn through
+    or near a point of the box [-4, 4]^2: some share a factor, and some have
+    an i-coefficient divisible by their j-coefficient."""
+    i0, j0 = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["any", "shared", "divisible"]))
+        f = draw(st.sampled_from([2, 3, 12, 97])) if kind == "shared" else 1
+        b = f * draw(st.integers(-(10**4) // f, 10**4 // f))
+        if kind == "divisible":
+            a = b * draw(st.integers(-3, 3))
+        else:
+            a = f * draw(st.integers(-(10**4) // f, 10**4 // f))
+        spread = abs(a) + abs(b) + 1
+        c = -(a * i0 + b * j0) + draw(st.integers(-spread, spread))
+        out.append(LinIneq(a, b, c))
+        if draw(st.booleans()):  # the strip c <= a*i + b*j + c <= c + width
+            out.append(LinIneq(-a, -b, -c + draw(st.integers(0, 2))))
+    return out
+
+
+@given(large_systems())
+@settings(max_examples=150, deadline=None)
+def test_solver_matches_brute_force_with_large_coefficients(ineqs):
+    box = IntRange(-4, 4)
+    expected = brute_2var(ineqs, box)
+    got = solve_2var(ineqs, box, box)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        i, j = got
+        assert all(q.eval(i, j) >= 0 for q in ineqs)
+        assert box.contains(i) and box.contains(j)
+
+
+def test_empty_real_shadow_needs_no_splinter(monkeypatch):
+    """S*i = (S-1)*j + 10^7 has no rational point with i, j in [0, 10], so
+    the solver answers None before any splinter search."""
+
+    def refuse(a, m):
+        raise AssertionError("splinter search reached")
+
+    monkeypatch.setattr(affine, "_mod_inverse", refuse)
+    s = 10**5
+    system = [LinIneq(s, 1 - s, -(10**7)), LinIneq(-s, s - 1, 10**7)]
+    assert solve_2var(system, IntRange(0, 10), IntRange(0, 10)) is None
 
 
 def test_one_var_range():

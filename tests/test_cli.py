@@ -540,14 +540,35 @@ def test_render_point_limit_is_checked_before_building(tmp_path, capsys, monkeyp
         assert not out.exists()
 
 
-def test_surface_interval_limit(capsys):
-    huge = "completed:" + "9" * 30
-    for surface, n in ((huge, int("9" * 30)), ("uncompleted:200001", 200001)):
-        code = main(["ext-oracle", "--surface", surface, "--from", "1:-1-1:1", "--to", "1:0-a1"])
+def test_surfaces_of_any_size(tmp_path, capsys):
+    """No query walks the marked intervals, so a surface of 10^30 intervals
+    answers like a small one; only the window verbs refuse it, by their point limits."""
+    n = 10**30
+    completed, uncompleted = f"completed:{n}", f"uncompleted:{n}"
+    for argv, payload in (
+        (["hom", "--surface", completed, "--from", "1:0-a1", "--to", "1:0-a1"], {"dim": 1}),
+        (["hom", "--surface", uncompleted, "--from", f"1:0-{n}:5", "--to", f"2:0-{n}:3"], {"dim": 0}),
+        (["ext", "--surface", completed, "--from", f"1:0-{n}:5", "--to", f"a{n}-2:3"],
+         {"case": "TransverseCross", "dim": 1}),
+        (["ext-oracle", "--surface", completed, "--from", "1:-1-1:1", "--to", "1:0-a1"], {"dim": 1}),
+        (["cross", "--surface", uncompleted, "--from", "1:-1-1:1", "--to", "1:0-2:0"], {"cross": True}),
+        (["factor", "--surface", uncompleted, "--from", "1:0-3:0", "--to", "1:2-3:2", "--family", "all"],
+         {"factors": True, "family": "all"}),
+        (["classify", "--surface", uncompleted, "--arc", "1:0-3:2"], {"class": "persistent"}),
+        (["limit", "--surface", completed, "--fixed", "1:0", "--interval", str(n), "--base", "0", "--stride", "1",
+          "--lo", "0"], {"arc": f"1:0-a{n}", "kind": "arc"}),
+    ):
+        assert run_json(capsys, *argv) == (0, payload), argv
+    out = tmp_path / "pic.svg"
+    for argv, message in (
+        (["window-ct", "--surface", completed, "--bound", "0"], f"window has {2 * n} points, limit is 12"),
+        (["render", "--surface", completed, "--radius", "2", "--out", str(out)],
+         f"render window has {6 * n} points, limit is {POINT_LIMIT}"),
+    ):
+        code = main(argv)
         captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == f"error: surface {surface!r} has {n} intervals, limit is 200000\n"
-    assert run_json(capsys, "hom", "--surface", "completed:200000", "--from", "1:0-a1", "--to", "1:0-a1") == (0, {"dim": 1})
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+    assert not out.exists()
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 The engine's layers (L0 boundary to L5 front ends) import downwards only.
 Every module is imported in a fresh interpreter, and the ``infgon.*``
-modules that import leaves loaded must equal the set below, so a top-level
+modules that import loads must equal the set below, so a top-level
 import of a higher layer (for example the verification batteries into the
-command line) fails here.
+command line) fails here.  Every other module it loads must come from the
+standard library: the runtime has no third-party dependency.
 """
 
 import os
@@ -35,11 +36,18 @@ LOADS = {
 
 
 def _loaded_after_import(name: str) -> set[str]:
-    code = "import importlib, sys; importlib.import_module(sys.argv[1]); print(*sorted(sys.modules))"
+    """The ``infgon.*`` modules that importing ``name`` loads in a fresh
+    interpreter, after checking that the others are in the standard library.
+    The interpreter runs without ``site`` (``-S``), so no installed package
+    is loaded before the import or can be found by it."""
+    code = ("import importlib, sys; before = set(sys.modules); importlib.import_module(sys.argv[1]); "
+            "print(*sorted(set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code, name], capture_output=True, text=True, env=env, timeout=60,
+    proc = subprocess.run([sys.executable, "-S", "-c", code, name], capture_output=True, text=True, env=env, timeout=60,
                           check=True)
-    return {m[len("infgon."):] for m in proc.stdout.split() if m.startswith("infgon.")}
+    loaded = proc.stdout.split()
+    assert {m.partition(".")[0] for m in loaded} - sys.stdlib_module_names <= {"infgon"}, loaded
+    return {m[len("infgon."):] for m in loaded if m.startswith("infgon.")}
 
 
 def test_every_module_has_a_layer():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from infgon import acceptance, triangulation
 from infgon.affine import IntRange
-from infgon.arcs import Arc, arc_key, format_arc, parse_arc, shift_arc
+from infgon.arcs import Arc, arc_key, cross_transverse, format_arc, parse_arc, shift_arc
 from infgon.homs import ext_dim, hom_dim
 from infgon.mutation import (
     UNDEFINED,
@@ -28,6 +28,7 @@ from infgon.triangulation import (
     Triangulation,
     TriangulationError,
     Window,
+    arc_crossing_in,
     build_fountain,
     canonical_zigzag,
     from_window_set,
@@ -35,6 +36,7 @@ from infgon.triangulation import (
     validate_non_crossing,
     window_arcs,
     window_brute_force,
+    window_check,
 )
 
 C1 = Surface(True, 1)
@@ -104,6 +106,17 @@ def test_single_generators_never_reach_the_solver(monkeypatch):
     back = flip(res.new_triangulation, res.new_arc)
     assert back.new_arc == a
     assert {g.arc for g in back.new_triangulation.generators} == set(T)
+    assert calls["solver"] == 0
+    # a fixed arc against a family is a question in one parameter: window
+    # maximality and crossing queries on fountains and the zigzag need no solver
+    cases = [(build_fountain(s, s.point(1, 0)), Window.symmetric(s, 2)) for s in (C1, C2, Surface(True, 3))]
+    cases.append((canonical_zigzag(), Window.symmetric(C1, 6)))
+    calls["solver"] = 0
+    for t, w in cases:
+        assert window_check(t, w)
+        for b in window_arcs(w):
+            hit = arc_crossing_in(t, b)
+            assert hit is None or cross_transverse(hit, b)
     assert calls["solver"] == 0
 
 

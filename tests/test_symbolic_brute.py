@@ -80,35 +80,34 @@ def test_validate_non_crossing_matches_brute_force(data):
 @settings(max_examples=250)
 def test_crossing_witness_matches_brute_force_pairwise(data):
     surface = data.draw(st.sampled_from([Surface(True, 1), Surface(False, 2)]))
-    fam_a = data.draw(bounded_families(surface))
-    fam_b = data.draw(bounded_families(surface))
-    arcs_a = []
-    arcs_b = []
+    gen_a = data.draw(bounded_families(surface, singles=True))
+    gen_b = data.draw(bounded_families(surface, singles=True))
     try:
-        arcs_a = [fam_a.arc_at(surface, t) for t in fam_a.domain.iterate()]
-        arcs_b = [fam_b.arc_at(surface, t) for t in fam_b.domain.iterate()]
+        arcs_a = materialize(surface, gen_a)
+        arcs_b = materialize(surface, gen_b)
     except ValueError:
         assume(False)
     brute = any(cross_transverse(a, b) for a in arcs_a for b in arcs_b)
-    hit = crossing_witness(surface, fam_a, fam_b)
+    hit = crossing_witness(surface, gen_a, gen_b)
     assert (hit is not None) == brute
     if hit is not None:
         assert cross_transverse(*hit)
+        assert hit[0] in arcs_a and hit[1] in arcs_b
 
 
 @given(st.data())
 @settings(max_examples=250)
 def test_duplicate_witness_matches_brute_force(data):
     surface = data.draw(st.sampled_from([Surface(True, 1), Surface(False, 2)]))
-    fam_a = data.draw(bounded_families(surface))
-    fam_b = data.draw(bounded_families(surface))
+    gen_a = data.draw(bounded_families(surface, singles=True))
+    gen_b = data.draw(bounded_families(surface, singles=True))
     try:
-        arcs_a = {fam_a.arc_at(surface, t) for t in fam_a.domain.iterate()}
-        arcs_b = {fam_b.arc_at(surface, t) for t in fam_b.domain.iterate()}
+        arcs_a = set(materialize(surface, gen_a))
+        arcs_b = set(materialize(surface, gen_b))
     except ValueError:
         assume(False)
     brute = bool(arcs_a & arcs_b)
-    hit = duplicate_witness(surface, fam_a, fam_b)
+    hit = duplicate_witness(surface, gen_a, gen_b)
     assert (hit is not None) == brute
     if hit is not None:
         assert hit in arcs_a and hit in arcs_b
@@ -194,18 +193,20 @@ def symbolic_twin(arc: Arc):
 
 @pytest.mark.parametrize("surface, bound", [(Surface(True, 1), 4), (Surface(True, 2), 2), (Surface(False, 2), 2)])
 def test_single_pairs_match_their_symbolic_twins(surface, bound):
-    """Fixed arcs are decided directly; their one-instance twins go through
-    the solver.  Both routes must give the same answer and the same witness
-    on every ordered pair of window arcs."""
+    """Fixed arcs are decided directly, a fixed arc against a one-instance
+    twin in one variable, and two twins by the two-variable solver.  Every
+    route must give the same answer and the same witness on every ordered
+    pair of window arcs."""
     arcs = window_arcs(Window.symmetric(surface, bound))
     twins = {a: symbolic_twin(a) for a in arcs}
     for a, b in itertools.product(arcs, repeat=2):
         crossing = crossing_witness(surface, Single(a), Single(b))
         assert crossing == ((a, b) if cross_transverse(a, b) else None)
-        assert crossing_witness(surface, twins[a], twins[b]) == crossing
         duplicate = duplicate_witness(surface, Single(a), Single(b))
         assert duplicate == (a if a == b else None)
-        assert duplicate_witness(surface, twins[a], twins[b]) == duplicate
+        for gen_a, gen_b in ((twins[a], twins[b]), (Single(a), twins[b]), (twins[a], Single(b))):
+            assert crossing_witness(surface, gen_a, gen_b) == crossing
+            assert duplicate_witness(surface, gen_a, gen_b) == duplicate
 
 
 def _position_gap(surface: Surface, fam: Family, t: int):
