@@ -9,7 +9,7 @@ generate the incoming morphisms from the triangulation into a shifted arc.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .affine import IntRange
@@ -56,7 +56,8 @@ class QuadFrame:
 
     Each entry is the extremum of the corresponding scan, the default
     successor/predecessor when the scan is empty, or UNDEFINED when the scan
-    is nonempty without an attained extremum.
+    is nonempty without an attained extremum.  ``scans`` keeps the four
+    scans, in the order of the entries.
     """
 
     arc: Arc
@@ -66,6 +67,7 @@ class QuadFrame:
     u_right: FrameEntry
     v_left: FrameEntry
     v_right: FrameEntry
+    scans: tuple[NeighborScan, ...] = field(compare=False, repr=False)
 
     def entries(self) -> tuple[FrameEntry, FrameEntry, FrameEntry, FrameEntry]:
         return (self.u_left, self.u_right, self.v_left, self.v_right)
@@ -83,14 +85,21 @@ def quad_frame(t: Triangulation, a: Arc) -> QuadFrame:
     if t.certificate.status is CertificateStatus.UNVERIFIED:
         raise TriangulationError("quad frame needs a certified or window-checked triangulation")
     u, v = a.a, a.b
+    scans = (
+        neighbor_scan(t, a, u, Side.LEFT),
+        neighbor_scan(t, a, u, Side.RIGHT),
+        neighbor_scan(t, a, v, Side.LEFT),
+        neighbor_scan(t, a, v, Side.RIGHT),
+    )
     return QuadFrame(
         arc=a,
         u=u,
         v=v,
-        u_left=_frame_entry(neighbor_scan(t, a, u, Side.LEFT), u, 1),
-        u_right=_frame_entry(neighbor_scan(t, a, u, Side.RIGHT), u, -1),
-        v_left=_frame_entry(neighbor_scan(t, a, v, Side.LEFT), v, 1),
-        v_right=_frame_entry(neighbor_scan(t, a, v, Side.RIGHT), v, -1),
+        u_left=_frame_entry(scans[0], u, 1),
+        u_right=_frame_entry(scans[1], u, -1),
+        v_left=_frame_entry(scans[2], v, 1),
+        v_right=_frame_entry(scans[3], v, -1),
+        scans=scans,
     )
 
 
@@ -194,13 +203,8 @@ def flip(t: Triangulation, a: Arc) -> MutationResult:
     """Replace a mutable arc by the other diagonal of its quadrilateral."""
     ok, reason, frame = mutability_report(t, a)
     if not ok:
-        witness = frame
-        if reason == "NoExtremum":
-            for e, side in ((a.a, Side.LEFT), (a.a, Side.RIGHT), (a.b, Side.LEFT), (a.b, Side.RIGHT)):
-                scan = neighbor_scan(t, a, e, side)
-                if not scan.empty and scan.extremum is None:
-                    witness = scan
-                    break
+        # the first unattained scan; a frame mismatch has none
+        witness = next((s for s in frame.scans if not s.empty and s.extremum is None), frame)
         raise MutabilityError(reason, witness)
     new_arc = Arc(frame.u_right, frame.v_right)
     gens = _remove_arc(t, a) + (Single(new_arc),)
@@ -242,20 +246,34 @@ def _merge_ranges(ranges: list[IntRange]) -> list[IntRange]:
     return [IntRange(lo, hi) for lo, hi in merged]
 
 
+# most arcs listed from one support run of a family with no fixed endpoint
 _FAN_WIDTH_LIMIT = 5000
 
 
 def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFinitelyGenerated]:
     """Generators of the incoming morphisms from t into the shift of g.
 
-    The arcs of t admitting a nonzero map to the shifted g split into fans.
-    Every fan with an attained clockwise-extreme element contributes that
-    element (the limit arc of the fan, in the accumulation-bounded case);
-    an unbounded fan with no limit arc in t, or an unbounded run of arcs
-    with no common endpoint, means no finite generating set exists.
+    The arcs of t admitting a nonzero map to the shifted g form support
+    runs, one per family, and single arcs.  A run of a fan is represented by
+    its finite ends and, where it is unbounded towards smaller partner
+    positions, by the fan's limit arc, all ending at the apex; without that
+    limit arc in the support no finite generating set exists.  A run with no
+    common endpoint is listed arc by arc when bounded and is infinitely
+    generated when not.  Listed and single arcs join a group at an apex they
+    end at, or at an endpoint they share with another of them.
+
+    So every group holds arcs {p, q} sharing one point p, and ``hom_dim``
+    orders them totally.  If q comes before r walking anticlockwise from p,
+    the predecessor shift {p-, q-} of {p, q} separates p from r, so {p, r}
+    crosses it (meets it clockwise, when p is an accumulation point) and maps
+    to {p, q}; {p, q} lies on one side of {p-, r-} and does not map to
+    {p, r}.  Each group thus has exactly one arc receiving a map from all
+    the others, the one whose far end comes first, and contributes it.
     """
     if g.surface is not t.surface:
         raise MixedSurfaceError("query arc on the wrong surface")
+    if not t.surface.completed:
+        raise TriangulationError(f"module generators need a completed surface, got {t.surface.describe()!r}")
     if t.certificate.status is not CertificateStatus.CERTIFIED_MAXIMAL:
         raise TriangulationError("module generators need a certified maximal triangulation")
 
@@ -267,39 +285,29 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
             if ext_case(gen.arc, g) is not ExtCase.NONE:
                 loose.append(gen.arc)
             continue
-        ranges = _merge_ranges(ext_param_ranges(gen, g))
         apex = gen.fixed_endpoint
-        for r in ranges:
-            if not r.is_bounded:
-                if apex is None:
+        for r in _merge_ranges(ext_param_ranges(gen, g)):
+            if apex is None:
+                if not r.is_bounded:
                     return NotFinitelyGenerated(gen, r, "unbounded support run with no common endpoint")
-                # Morphisms between arcs of one fan run clockwise, i.e.
-                # towards smaller partner positions, so only the
-                # position-minimal end of the support needs to be attained.
-                mov = gen.moving_endpoints[0]
-                min_end_param = 1 if mov.stride < 0 else -1
-                min_unbounded = (r.hi is None) if min_end_param > 0 else (r.lo is None)
-                if min_unbounded:
-                    lim = limit_of_family(t.surface, gen, end=min_end_param)
-                    if (
-                        lim.kind is not LimitKind.ARC
-                        or not t.contains(lim.arc)
-                        or ext_case(lim.arc, g) is ExtCase.NONE
-                    ):
-                        return NotFinitelyGenerated(gen, r, "fan support unbounded past any limit arc")
-                    apex_candidates[apex].add(lim.arc)
-                if r.lo is not None:
-                    apex_candidates[apex].add(gen.arc_at(t.surface, r.lo))
-                if r.hi is not None:
-                    apex_candidates[apex].add(gen.arc_at(t.surface, r.hi))
-            else:
                 if not r.width_at_most(_FAN_WIDTH_LIMIT):
-                    raise ResourceLimitError("fan support too wide to materialize")
-                if apex is not None:
-                    apex_candidates[apex].add(gen.arc_at(t.surface, r.lo))
-                    apex_candidates[apex].add(gen.arc_at(t.surface, r.hi))
-                else:
-                    loose.extend(gen.arc_at(t.surface, tt) for tt in r.iterate())
+                    raise ResourceLimitError(f"support run has {r.hi - r.lo + 1} arcs, limit is {_FAN_WIDTH_LIMIT}")
+                loose.extend(gen.arc_at(t.surface, tt) for tt in r.iterate())
+                continue
+            # Morphisms between arcs of one fan run clockwise, i.e. towards
+            # smaller partner positions, so only the position-minimal end of
+            # the support needs to be attained.
+            min_end = 1 if gen.moving_endpoints[0].stride < 0 else -1
+            if (r.hi if min_end > 0 else r.lo) is None:
+                lim = limit_of_family(t.surface, gen, end=min_end)
+                if (
+                    lim.kind is not LimitKind.ARC
+                    or not t.contains(lim.arc)
+                    or ext_case(lim.arc, g) is ExtCase.NONE
+                ):
+                    return NotFinitelyGenerated(gen, r, "fan support unbounded past any limit arc")
+                apex_candidates[apex].add(lim.arc)
+            apex_candidates[apex].update(gen.arc_at(t.surface, e) for e in (r.lo, r.hi) if e is not None)
 
     # attach loose arcs to an existing fan apex where possible
     still_loose: list[Arc] = []
@@ -324,18 +332,6 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
             covered.update(arcs)
 
     out: set[Arc] = {arc for arc in still_loose if arc not in covered}
-    for _apex, cands in apex_candidates.items():
-        ordered = sorted(cands, key=arc_key)
-        if len(ordered) == 1:
-            out.add(ordered[0])
-            continue
-        sinks = [
-            c
-            for c in ordered
-            if all(o == c or hom_dim(o, c) == 1 for o in ordered)
-        ]
-        if sinks:
-            out.add(sinks[0])
-        else:
-            out.update(ordered)
+    for cands in apex_candidates.values():
+        out.update(c for c in cands if all(o == c or hom_dim(o, c) == 1 for o in cands))
     return sorted(out, key=arc_key)

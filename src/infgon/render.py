@@ -98,7 +98,6 @@ def _truncation_gaps(t: Triangulation, window: Window) -> list[int]:
         if not isinstance(gen, Family):
             continue
         visible = visible_params(gen, window)
-        probe = gen.moving_endpoints[0]
         for end in (1, -1):
             beyond = (
                 visible.is_empty
@@ -106,7 +105,7 @@ def _truncation_gaps(t: Triangulation, window: Window) -> list[int]:
                 or (end < 0 and (gen.domain.lo is None or (visible.lo is not None and visible.lo > gen.domain.lo)))
             )
             if beyond:
-                gaps.add(_escape(probe, end, n)[0])
+                gaps.update(_escape(m, end, n)[0] for m in gen.moving_endpoints)
     return sorted(gaps)
 
 

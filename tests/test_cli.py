@@ -465,6 +465,23 @@ def test_leapfrog_and_approx_object(capsys):
         0, {"finite": True, "generators": ["1:0-1:3"]})
 
 
+def test_approx_object_lists_only_runs_without_an_apex(tmp_path, capsys):
+    """A fan's support run is decided by its ends at any length; a run with
+    no common endpoint is listed, up to a stated limit; an uncompleted
+    surface is refused by name."""
+    assert run_json(capsys, "approx-object", "--triangulation", "fountain(completed:1,1:0)", "--arc", "1:1-1:5003") == (
+        0, {"finite": True, "generators": ["1:0-1:2"]})
+    path = tmp_path / "uncompleted.json"
+    path.write_text(json.dumps({"surface": "uncompleted:2", "generators": [{"single": "1:0-2:0"}], "certificate": "maximal"}))
+    for token, arc, message in (
+        ("zigzag(completed:1)", "1:1-1:6000", "support run has 5998 arcs, limit is 5000"),
+        (str(path), "1:1-2:1", "module generators need a completed surface, got 'uncompleted:2'"),
+    ):
+        code = main(["approx-object", "--triangulation", token, "--arc", arc])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), token
+
+
 def test_limit_verb(capsys):
     code, payload = run_json(
         capsys, "limit", "--surface", "completed:2", "--fixed", "1:0",

@@ -20,9 +20,12 @@ from infgon.mutation import (
     quad_frame,
     right_module_generators,
 )
-from infgon.surface import Surface
+from infgon.surface import Point, Surface, adjacent
 from infgon.triangulation import (
     CertificateStatus,
+    Family,
+    Moving,
+    Progression,
     Side,
     Single,
     Triangulation,
@@ -265,6 +268,11 @@ def test_flip_fountain_and_surgery():
     with pytest.raises(MutabilityError) as err:
         flip(t, parse_arc(C1, "1:0-a1"))
     assert err.value.reason == "NoExtremum"
+    # the witness is the first unattained scan: the fan running on from 1:2
+    witness = err.value.witness
+    assert (witness.endpoint, witness.side, witness.singles) == (C1.point(1, 0), Side.LEFT, ())
+    assert witness.progressions == (Progression(1, 2, 1, IntRange(0, None)),)
+    assert witness.extremum is None and not witness.empty
 
 
 def test_flip_conflation_pattern():
@@ -310,6 +318,65 @@ def test_module_generators_small_and_empty_support():
     # arcs of the fountain itself receive nothing: empty support, zero object
     gens = right_module_generators(t, parse_arc(C1, "1:0-1:5"))
     assert gens == []
+
+
+def _negate_parameter(t):
+    """t with every family reparametrised by t -> -t: the same arcs."""
+    gens = []
+    for gen in t.generators:
+        if isinstance(gen, Family):
+            neg = lambda e: Moving(e.interval, e.base, -e.stride) if isinstance(e, Moving) else e
+            lo, hi = gen.domain.lo, gen.domain.hi
+            gen = Family(neg(gen.e0), neg(gen.e1), IntRange(None if hi is None else -hi, None if lo is None else -lo))
+        gens.append(gen)
+    return Triangulation(t.surface, tuple(gens), t.certificate)
+
+
+def test_module_generators_do_not_depend_on_the_parametrisation():
+    """Reparametrising every family by t -> -t turns runs unbounded above into
+    runs unbounded below, and leaves every answer unchanged."""
+    for n in (1, 2, 3):
+        s = Surface(True, n)
+        queries = window_arcs(Window.symmetric(s, 4))
+        for k in range(1, n + 1):
+            for base in (s.point(k, 0), s.point(k, 3), s.accumulation(k)):
+                t = build_fountain(s, base)
+                negated = _negate_parameter(t)
+                for g in queries:
+                    assert right_module_generators(negated, g) == right_module_generators(t, g), (base, g)
+
+
+def test_module_generators_of_a_fan_missing_its_limit_arc():
+    """Dropping 1:0-a1 from the fountain and still claiming maximality leaves
+    the fan at 1:0 with no limit arc, so the crossing query is refused."""
+    t = fountain1()
+    false_claim = Triangulation(C1, tuple(g for g in t.generators if g != Single(parse_arc(C1, "1:0-a1"))), t.certificate)
+    res = right_module_generators(false_claim, parse_arc(C1, "1:-1-1:1"))
+    assert isinstance(res, NotFinitelyGenerated)
+    assert res.description == "fan support unbounded past any limit arc"
+
+
+@st.composite
+def _fan(draw):
+    """A point p of completed:1..3 and distinct arcs ending at p."""
+    s = Surface(True, draw(st.integers(1, 3)))
+    point = st.builds(Point, st.just(s), st.integers(1, s.intervals), st.one_of(st.none(), st.integers(-6, 6)))
+    p = draw(point)
+    far = draw(st.lists(point.filter(lambda q: q != p and not adjacent(p, q)), min_size=1, max_size=6, unique=True))
+    return p, [Arc(p, q) for q in far]
+
+
+@given(_fan())
+@example((C1.accumulation(1), [parse_arc(C1, "a1-1:3"), parse_arc(C1, "a1-1:-2"), parse_arc(C1, "a1-1:0")]))
+@example((C1.point(1, 0), [parse_arc(C1, "1:0-1:-2"), parse_arc(C1, "1:0-a1"), parse_arc(C1, "1:0-1:2")]))
+def test_arcs_sharing_an_endpoint_have_one_hom_sink(fan):
+    """Arcs sharing an endpoint p have exactly one arc receiving a map from
+    every other, the one whose far end comes first anticlockwise from p, so
+    each group of `right_module_generators` contributes one generator."""
+    p, arcs = fan
+    kp = p.circuit_key()
+    first = min(arcs, key=lambda a: (a.other_endpoint(p).circuit_key() < kp, a.other_endpoint(p).circuit_key()))
+    assert [c for c in arcs if all(o == c or hom_dim(o, c) == 1 for o in arcs)] == [first]
 
 
 def test_module_generators_zigzag_not_finite():

@@ -1,9 +1,10 @@
 import pytest
 
+from infgon.affine import IntRange
 from infgon.arcs import parse_arc
 from infgon.render import RenderSpec, render_svg
 from infgon.surface import Surface
-from infgon.triangulation import build_fountain, canonical_zigzag
+from infgon.triangulation import Family, Moving, Triangulation, build_fountain, canonical_zigzag
 
 C1 = Surface(True, 1)
 
@@ -34,6 +35,14 @@ def test_zigzag_truncation_marks():
     svg = render_svg(canonical_zigzag(C1), RenderSpec(radius=8))
     assert svg.count('class="arc"') == 15
     assert svg.count('class="trunc"') == 1
+
+
+def test_every_moving_end_ticks_its_gap():
+    """The nested arcs 1:-1-t to 1:1+t leave the window towards a2 at one end
+    and towards a1 at the other, so both gaps are ticked."""
+    c2 = Surface(True, 2)
+    t = Triangulation(c2, (Family(Moving(1, -1, -1), Moving(1, 1, 1), IntRange(0, None)),))
+    assert render_svg(t, RenderSpec(radius=3)).count('class="trunc"') == 2
 
 
 def test_highlight_and_radius_guard():
