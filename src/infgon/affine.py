@@ -193,10 +193,8 @@ def solve_2var(
             if s is None:
                 continue
             i = residue + modulus * s
-            num = -aL * i - cL + t
-            if num % b:
-                continue
-            j = num // b
+            # g divides aL, so aL*residue = t - cL (mod b) and b divides the numerator
+            j = (-aL * i - cL + t) // b
             if all(q.eval(i, j) >= 0 for q in system):
                 return (i, j)
     return None
@@ -225,10 +223,9 @@ def sym_eq_atoms(p: SymPoint, q: SymPoint):
     sq, aq = q
     if sp != sq:
         return False
-    if ap is None and aq is None:
+    # a slot's parity fixes whether its points accumulate: both or neither is None
+    if ap is None:
         return []
-    if ap is None or aq is None:
-        return False
     a, b, c = aq[0] - ap[0], aq[1] - ap[1], aq[2] - ap[2]
     if a == b == 0:
         return [] if c == 0 else False

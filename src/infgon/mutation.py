@@ -181,7 +181,7 @@ def _remove_arc(t: Triangulation, a: Arc) -> tuple:
                 continue
             out.append(gen)
             continue
-        tpar = family_param_of(t.surface, gen, a)
+        tpar = family_param_of(gen, a)
         if tpar is None:
             out.append(gen)
             continue

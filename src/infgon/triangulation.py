@@ -60,8 +60,9 @@ class ResourceLimitError(RuntimeError):
 
 
 WINDOW_POINT_LIMIT = 12
-# every generator pair is checked with the solver, so load time grows with the
-# square of the count: a fountain of 199 generators (completed:99) takes 0.5 s
+# every generator pair is checked with the solver, for duplicates and crossings
+# in one pass, so load time grows with the square of the count: a fountain of
+# 199 generators (completed:99) takes 0.2-0.35 s to load, certified or not
 GENERATOR_LIMIT = 200
 # the solver's splinter search loops up to a family's stride, so load time
 # grows linearly with it: 200 certified families with both ends moving, of
@@ -326,10 +327,10 @@ def duplicate_witness(surface: Surface, gen_a: Generator, gen_b: Generator, same
         m = _first_model(eq_conjunctions, gen_a, gen_b, same)
         return None if m is None else gen_a.arc_at(surface, m[0])
     fam, single = (gen_a, gen_b) if isinstance(gen_a, Family) else (gen_b, gen_a)
-    return None if family_param_of(surface, fam, single.arc) is None else single.arc
+    return None if family_param_of(fam, single.arc) is None else single.arc
 
 
-def _invalid_family_param(surface: Surface, fam: Family) -> Optional[int]:
+def _invalid_family_param(fam: Family) -> Optional[int]:
     """A parameter whose instance has equal or adjacent endpoints (one interval,
     positions at most 1 apart), if any; the one of lowest position difference."""
     (s0, a0), (s1, a1) = _gen_sym_pair(fam, 0)
@@ -353,17 +354,18 @@ class Triangulation:
     """Surface plus generator list, optionally carrying a certificate.
 
     Construction checks that families instantiate to genuine arcs everywhere
-    and that no arc is presented twice.  A triangulation that carries a
-    certificate is also checked for crossings, and raises
-    :class:`CrossingError` with the witness pair.  An uncertified one may
-    cross; :func:`validate_non_crossing` reports that.  Use the builders for
-    certified maximal collections.
+    and that no arc is presented twice, and searches the generator pairs for
+    the first crossing in the same pass.  A triangulation that carries a
+    certificate and crosses raises :class:`CrossingError` with the witness
+    pair.  An uncertified one may cross; :func:`validate_non_crossing`
+    reports that.  Use the builders for certified maximal collections.
 
     Construction also indexes the generators: ``_ends`` maps the circuit key
     of each endpoint of a ``Single`` to ``(generator position, partner,
-    partner key)`` entries in generator order, and ``_families`` holds the
-    ``(position, Family)`` generators.  The index takes no part in equality,
-    hashing, repr or JSON.
+    partner key)`` entries in generator order, ``_families`` holds the
+    ``(position, Family)`` generators, and ``_crossing`` the first crossing
+    pair found, or None.  The index takes no part in equality, hashing, repr
+    or JSON.
     """
 
     surface: Surface
@@ -371,6 +373,7 @@ class Triangulation:
     certificate: Certificate = UNVERIFIED
     _ends: dict[tuple[int, int], list[_Partner]] = field(init=False, compare=False, repr=False)
     _families: tuple[tuple[int, Family], ...] = field(init=False, compare=False, repr=False)
+    _crossing: Optional[tuple[Arc, Arc]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         require_generators(len(self.generators))
@@ -392,7 +395,7 @@ class Triangulation:
                             raise ResourceLimitError(f"family stride {e.stride} exceeds the limit {STRIDE_LIMIT}")
                     elif e.surface is not self.surface:
                         raise TriangulationError("fixed endpoint on the wrong surface")
-                bad = _invalid_family_param(self.surface, gen)
+                bad = _invalid_family_param(gen)
                 if bad is not None:
                     raise TriangulationError(f"family degenerates at parameter {bad}")
                 dup = duplicate_witness(self.surface, gen, gen, same=True)
@@ -401,25 +404,31 @@ class Triangulation:
                 families.append((i, gen))
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_families", tuple(families))
+        # one pass over the generator pairs, a family against itself first: a
+        # duplicate is refused at once, the first crossing only remembered
         gens = self.generators
-        for i in range(len(gens)):
+        crossing: Optional[tuple[Arc, Arc]] = None
+        for i, gen in enumerate(gens):
+            if crossing is None and isinstance(gen, Family):
+                crossing = crossing_witness(self.surface, gen, gen, same=True)
             for j in range(i + 1, len(gens)):
-                dup = duplicate_witness(self.surface, gens[i], gens[j])
+                dup = duplicate_witness(self.surface, gen, gens[j])
                 if dup is not None:
                     raise DuplicateArcError(f"arc {format_arc(dup)} appears in two generators")
+                if crossing is None:
+                    crossing = crossing_witness(self.surface, gen, gens[j])
+        object.__setattr__(self, "_crossing", crossing)
         # a certificate is a claim, whether a builder or a file makes it: at
         # least check that the arcs it certifies do not cross
-        if self.certificate.status is not CertificateStatus.UNVERIFIED:
-            report = validate_non_crossing(self)
-            if not report.ok:
-                raise CrossingError(*report.witness)
+        if crossing is not None and self.certificate.status is not CertificateStatus.UNVERIFIED:
+            raise CrossingError(*crossing)
 
     def contains(self, arc: Arc) -> bool:
         if arc.surface is not self.surface:
             return False
         if any(k == arc.kb for _, _, k in self._ends.get(arc.ka, ())):
             return True
-        return any(family_param_of(self.surface, gen, arc) is not None for _, gen in self._families)
+        return any(family_param_of(gen, arc) is not None for _, gen in self._families)
 
     def arcs_in_window(self, window: Window) -> frozenset[Arc]:
         out: set[Arc] = set()
@@ -455,7 +464,7 @@ def visible_params(fam: Family, window: Window) -> IntRange:
     return params
 
 
-def family_param_of(surface: Surface, fam: Family, arc: Arc) -> Optional[int]:
+def family_param_of(fam: Family, arc: Arc) -> Optional[int]:
     """The parameter at which ``fam`` instantiates to ``arc``, or None."""
     at_a = fam.ends_at(arc.a)
     if not at_a:
@@ -477,18 +486,9 @@ class NonCrossingReport:
 
 
 def validate_non_crossing(t: Triangulation) -> NonCrossingReport:
-    """Search all instance pairs, within and across generators, for a crossing."""
-    gens = t.generators
-    for i, gen in enumerate(gens):
-        if isinstance(gen, Family):
-            hit = crossing_witness(t.surface, gen, gen, same=True)
-            if hit is not None:
-                return NonCrossingReport(False, hit)
-        for j in range(i + 1, len(gens)):
-            hit = crossing_witness(t.surface, gen, gens[j])
-            if hit is not None:
-                return NonCrossingReport(False, hit)
-    return NonCrossingReport(True)
+    """The first crossing pair of instances, within and across generators,
+    that construction found, if any."""
+    return NonCrossingReport(t._crossing is None, t._crossing)
 
 
 def arc_crossing_in(t: Triangulation, arc: Arc) -> Optional[Arc]:

@@ -242,13 +242,17 @@ def test_mutability_fountain():
     assert not ok and reason == "NoExtremum"
 
 
-def test_flip_checks_crossings_once(monkeypatch):
+def test_flip_checks_crossings_in_one_pass(monkeypatch):
     t = fountain1()
     calls = []
-    real = triangulation.validate_non_crossing
-    monkeypatch.setattr(triangulation, "validate_non_crossing", lambda t: calls.append(t) or real(t))
+    real = triangulation.crossing_witness
+    monkeypatch.setattr(triangulation, "crossing_witness", lambda *args, **kw: calls.append(args) or real(*args, **kw))
     res = flip(t, parse_arc(C1, "1:0-1:5"))
-    assert calls == [res.new_triangulation]
+    g = len(res.new_triangulation.generators)
+    assert 0 < len(calls) <= g * (g + 1) // 2
+    calls.clear()
+    assert validate_non_crossing(res.new_triangulation).ok
+    assert calls == []
 
 
 def test_flip_fountain_and_surgery():

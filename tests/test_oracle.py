@@ -24,6 +24,17 @@ def test_oracle_spec_values():
     assert ext_dim_oracle(both, both) == 0
 
 
+def test_oracle_collapse_exit():
+    """The lifted sweep holds a collapsing and a persistent arc: the collapse
+    decides, so the answer is 0, not 1."""
+    both = parse_arc(C2, "a1-a2")
+    up = Surface(False, 4)
+    lg, ld = parse_arc(up, "2:0-4:0"), parse_arc(up, "2:5-4:5")
+    sld = shift_arc(ld, 1)
+    assert factors_over(lg, sld, ArcClass.COLLAPSING) and factors_over(lg, sld, ArcClass.PERSISTENT)
+    assert ext_dim_oracle(both, both, lift_g=lg, lift_d=ld) == 0
+
+
 def test_oracle_equals_crossing_formula_on_small_window():
     arcs = all_window_arcs(C2, 3)
     for g in arcs:

@@ -156,7 +156,7 @@ def test_family_param_of_matches_brute_force(data):
             continue
     for arc in [*params, *data.draw(st.lists(arcs_on(surface, 6), max_size=4))]:
         inside = [t for t in params.get(arc, ()) if fam.domain.contains(t)]
-        got = family_param_of(surface, fam, arc)
+        got = family_param_of(fam, arc)
         assert got in inside if inside else got is None, (arc, inside, got)
 
 
@@ -228,7 +228,7 @@ def test_invalid_family_param_matches_brute_force(data):
     gaps = {t: _position_gap(surface, fam, t) for t in fam.domain.iterate()}
     bad = [t for t, gap in gaps.items() if gap is not None and abs(gap) <= 1]
     expected = min(bad, key=lambda t: (gaps[t], t)) if bad else None
-    assert _invalid_family_param(surface, fam) == expected
+    assert _invalid_family_param(fam) == expected
 
 
 @st.composite

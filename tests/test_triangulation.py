@@ -103,24 +103,48 @@ def test_adding_a_certificate_checks_crossings():
         dataclasses.replace(t, certificate=CERTIFIED_MAXIMAL)
 
 
-def test_each_certified_construction_checks_crossings_once(monkeypatch):
+def test_each_construction_checks_crossings_in_one_pass(monkeypatch):
+    """Every construction, certified or not, searches each generator pair at
+    most once and stops at the first crossing; a later validate_non_crossing
+    reads the verdict without searching again."""
     w = Window.of_points([C1.point(1, i) for i in range(5)])
-    window_set = window_brute_force(w)[0]
+    built = (fountain1(), canonical_zigzag(), from_window_set(w, window_brute_force(w)[0]))
     certified = triangulation_to_json(fountain1())
     uncertified = {k: v for k, v in certified.items() if k != "certificate"}
     calls = []
-    real = triangulation.validate_non_crossing
-    monkeypatch.setattr(triangulation, "validate_non_crossing", lambda t: calls.append(t) or real(t))
-    for build, expected in (
-        (fountain1, 1),
-        (canonical_zigzag, 1),
-        (lambda: from_window_set(w, window_set), 1),
-        (lambda: triangulation_from_json(certified), 1),
-        (lambda: triangulation_from_json(uncertified), 0),
+    real = triangulation.crossing_witness
+    monkeypatch.setattr(triangulation, "crossing_witness", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    for build in (
+        *(lambda t=t: dataclasses.replace(t) for t in built),
+        fountain1,
+        lambda: triangulation_from_json(certified),
+        lambda: triangulation_from_json(uncertified),
     ):
         calls.clear()
         t = build()
-        assert calls == [t] * expected
+        g = len(t.generators)
+        assert 0 < len(calls) <= g * (g + 1) // 2
+        calls.clear()
+        assert validate_non_crossing(t).ok
+        assert calls == []
+    calls.clear()
+    t = Triangulation(C1, _crossing_pair() + (Single(parse_arc(C1, "1:5-1:7")),))
+    assert len(calls) == 1
+    assert validate_non_crossing(t).witness == tuple(g.arc for g in _crossing_pair())
+    assert len(calls) == 1
+
+
+def test_duplicates_take_precedence_over_crossings():
+    crossing_then_duplicate = _crossing_pair() + (Single(parse_arc(C1, "1:1-1:3")),)
+    with pytest.raises(DuplicateArcError, match="^arc 1:1-1:3 appears in two generators$"):
+        Triangulation(C1, crossing_then_duplicate, CERTIFIED_MAXIMAL)
+    # generator 0 crosses itself and generator 1: the pair (0, 0) comes first
+    ladder = Family(Moving(1, 0, 1), Moving(1, 2, 1), IntRange(0, 1))
+    t = Triangulation(C1, (ladder, Single(parse_arc(C1, "1:-1-1:1"))))
+    assert validate_non_crossing(t).witness == (parse_arc(C1, "1:0-1:2"), parse_arc(C1, "1:1-1:3"))
+    # the same pairs the other way round: the pair (0, 1) comes first
+    t = Triangulation(C1, (Single(parse_arc(C1, "1:-1-1:1")), ladder))
+    assert validate_non_crossing(t).witness == (parse_arc(C1, "1:-1-1:1"), parse_arc(C1, "1:0-1:2"))
 
 
 def test_duplicate_detection():
@@ -223,6 +247,15 @@ def test_finite_zigzag_is_rejected():
     alpha = Family(Moving(1, 0, 1), Moving(1, 0, -1), IntRange(1, 9))
     beta = Family(Moving(1, 1, 1), Moving(1, 0, -1), IntRange(1, 9))
     with pytest.raises(LeapfrogError):
+        build_zigzag_leapfrog(C1, alpha, beta)
+
+
+def test_single_rung_zigzag_has_no_chain():
+    """Aligned families whose chain indices leave no rung (alpha at t and t+1)."""
+    alpha = Family(Moving(1, 0, 1), Moving(1, 0, -1), IntRange(1, 1))
+    beta = Family(Moving(1, 1, 1), Moving(1, 0, -1), IntRange(1, 1))
+    assert detect_leapfrog(Triangulation(C1, (alpha, beta))) is None
+    with pytest.raises(LeapfrogError, match="chain is finite"):
         build_zigzag_leapfrog(C1, alpha, beta)
 
 
