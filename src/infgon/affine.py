@@ -63,9 +63,6 @@ class IntRange:
             raise ValueError("cannot iterate an unbounded range")
         return range(self.lo, self.hi + 1)
 
-    def width_at_most(self, n: int) -> bool:
-        return self.is_bounded and self.hi - self.lo + 1 <= n
-
     def witness(self) -> int:
         """The member a solver reports: the lower bound, else the upper, else 0."""
         return self.lo if self.lo is not None else 0 if self.hi is None else self.hi

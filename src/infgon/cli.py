@@ -14,6 +14,7 @@ import re
 import sys
 from typing import Sequence
 
+from . import limits
 from .arcs import Arc, ArcClass, classify, cross_transverse, format_arc, parse_arc
 from .homs import (
     ExtCase,
@@ -40,7 +41,6 @@ from .triangulation import (
     IntRange,
     Family,
     Moving,
-    ResourceLimitError,
     Side,
     Triangulation,
     Window,
@@ -48,7 +48,6 @@ from .triangulation import (
     canonical_zigzag,
     detect_leapfrog,
     limit_of_family,
-    require_window_points,
     triangulation_from_json,
     triangulation_to_json,
     validate_non_crossing,
@@ -182,7 +181,8 @@ def _cmd_validate(args) -> int:
 def _cmd_window_ct(args) -> int:
     surface = parse_surface(args.surface)
     include_accumulation = not args.no_accumulation
-    require_window_points(Window.symmetric_size(surface, args.bound, include_accumulation))
+    limits.require(Window.symmetric_size(surface, args.bound, include_accumulation), limits.WINDOW_POINT_LIMIT,
+                   limits.WINDOW_POINTS)
     _flavoured(args, surface, completed=True)
     window = Window.symmetric(surface, args.bound, include_accumulation)
     sets = window_brute_force(window)
@@ -219,9 +219,7 @@ def _cmd_leapfrog(args) -> int:
 def _cmd_limit(args) -> int:
     surface = _flavoured(args, parse_surface(args.surface), completed=True)
     fixed = parse_point(surface, args.fixed)
-    lo = None if args.lo is None else int(args.lo)
-    hi = None if args.hi is None else int(args.hi)
-    fam = Family(fixed, Moving(args.interval, args.base, args.stride), IntRange(lo, hi))
+    fam = Family(fixed, Moving(args.interval, args.base, args.stride), IntRange(args.lo, args.hi))
     res = limit_of_family(surface, fam, end=args.end)
     payload = {"kind": res.kind.value}
     if res.arc is not None:
@@ -410,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, required=True)
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--stride", type=int, required=True)
-    p.add_argument("--lo", default=None)
-    p.add_argument("--hi", default=None)
+    p.add_argument("--lo", type=int, default=None)
+    p.add_argument("--hi", type=int, default=None)
     p.add_argument("--end", type=int, choices=(1, -1), default=None)
     p.set_defaults(run=_cmd_limit)
 
@@ -466,7 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.run(args)
-    except (UsageError, ValueError, ResourceLimitError) as exc:
+    except (UsageError, ValueError, limits.ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

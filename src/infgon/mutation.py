@@ -12,6 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from . import limits
 from .affine import IntRange
 from .arcs import Arc, arc_key, format_arc
 from .homs import ExtCase, exchange_triangles, ext_case, hom_dim
@@ -21,7 +22,6 @@ from .triangulation import (
     Family,
     LimitKind,
     NeighborScan,
-    ResourceLimitError,
     Side,
     Single,
     Triangulation,
@@ -33,21 +33,8 @@ from .triangulation import (
 )
 
 
-class _UndefinedType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNDEFINED"
-
-
-UNDEFINED = _UndefinedType()
-
-FrameEntry = Union[Point, _UndefinedType]
+# a frame entry whose scan is nonempty without an attained extremum
+UNDEFINED = None
 
 
 @dataclass(frozen=True)
@@ -55,30 +42,26 @@ class QuadFrame:
     """The four neighbour points around an arc {u, v} in a triangulation.
 
     Each entry is the extremum of the corresponding scan, the default
-    successor/predecessor when the scan is empty, or UNDEFINED when the scan
-    is nonempty without an attained extremum.  ``scans`` keeps the four
-    scans, in the order of the entries.
+    successor/predecessor when the scan is empty, or UNDEFINED (None) when
+    the scan is nonempty without an attained extremum.  ``scans`` keeps the
+    four scans, in the order of the entries.
     """
 
     arc: Arc
     u: Point
     v: Point
-    u_left: FrameEntry
-    u_right: FrameEntry
-    v_left: FrameEntry
-    v_right: FrameEntry
+    u_left: Optional[Point]
+    u_right: Optional[Point]
+    v_left: Optional[Point]
+    v_right: Optional[Point]
     scans: tuple[NeighborScan, ...] = field(compare=False, repr=False)
 
-    def entries(self) -> tuple[FrameEntry, FrameEntry, FrameEntry, FrameEntry]:
+    def entries(self) -> tuple[Optional[Point], Optional[Point], Optional[Point], Optional[Point]]:
         return (self.u_left, self.u_right, self.v_left, self.v_right)
 
 
-def _frame_entry(scan: NeighborScan, e: Point, default_dir: int) -> FrameEntry:
-    if scan.empty:
-        return step(e, default_dir)
-    if scan.extremum is not None:
-        return scan.extremum
-    return UNDEFINED
+def _frame_entry(scan: NeighborScan, e: Point, default_dir: int) -> Optional[Point]:
+    return step(e, default_dir) if scan.empty else scan.extremum
 
 
 def quad_frame(t: Triangulation, a: Arc) -> QuadFrame:
@@ -132,7 +115,7 @@ def approximate(t: Triangulation, a: Arc, side: Side) -> ApproxResult:
 
 def mutability_report(t: Triangulation, a: Arc) -> tuple[bool, Optional[str], QuadFrame]:
     frame = quad_frame(t, a)
-    if any(isinstance(e, _UndefinedType) for e in frame.entries()):
+    if None in frame.entries():
         return (False, "NoExtremum", frame)
     if frame.u_left != frame.v_right or frame.u_right != frame.v_left:
         return (False, "FrameMismatch", frame)
@@ -246,10 +229,6 @@ def _merge_ranges(ranges: list[IntRange]) -> list[IntRange]:
     return [IntRange(lo, hi) for lo, hi in merged]
 
 
-# most arcs listed from one support run of a family with no fixed endpoint
-_FAN_WIDTH_LIMIT = 5000
-
-
 def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFinitelyGenerated]:
     """Generators of the incoming morphisms from t into the shift of g.
 
@@ -290,8 +269,7 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
             if apex is None:
                 if not r.is_bounded:
                     return NotFinitelyGenerated(gen, r, "unbounded support run with no common endpoint")
-                if not r.width_at_most(_FAN_WIDTH_LIMIT):
-                    raise ResourceLimitError(f"support run has {r.hi - r.lo + 1} arcs, limit is {_FAN_WIDTH_LIMIT}")
+                limits.require(r.hi - r.lo + 1, limits.FAN_WIDTH_LIMIT, limits.SUPPORT_RUN)
                 loose.extend(gen.arc_at(t.surface, tt) for tt in r.iterate())
                 continue
             # Morphisms between arcs of one fan run clockwise, i.e. towards

@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from . import limits
 from .arcs import Arc, arc_key
 from .surface import Point, Surface
-from .triangulation import Family, ResourceLimitError, Triangulation, Window, _escape, visible_params
+from .triangulation import Family, Triangulation, Window, _escape, visible_params
 
 SIZE = 420  # width and height of the picture, in pixels
-RADIUS_LIMIT = 100  # largest window radius: 606 points on completed:3, under 2 px apart
-POINT_LIMIT = 606  # most window points drawn, whatever the radius and surface
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,6 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.radius < 2:
             raise ValueError("render window radius must be at least 2")
-        if self.radius > RADIUS_LIMIT:
-            raise ValueError(f"render window radius {self.radius} exceeds the limit {RADIUS_LIMIT}")
 
 
 def _fmt(v: float) -> str:
@@ -110,9 +107,7 @@ def _truncation_gaps(t: Triangulation, window: Window) -> list[int]:
 
 
 def _render_window(surface: Surface, radius: int) -> Window:
-    size = Window.symmetric_size(surface, radius)
-    if size > POINT_LIMIT:
-        raise ResourceLimitError(f"render window has {size} points, limit is {POINT_LIMIT}")
+    limits.require(Window.symmetric_size(surface, radius), limits.POINT_LIMIT, limits.RENDER_POINTS)
     return Window.symmetric(surface, radius)
 
 

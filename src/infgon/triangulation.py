@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from . import limits
 from .affine import (
     EMPTY_RANGE,
     FULL_RANGE,
@@ -53,33 +54,6 @@ class DuplicateArcError(TriangulationError):
 
 class LeapfrogError(TriangulationError):
     pass
-
-
-class ResourceLimitError(RuntimeError):
-    pass
-
-
-WINDOW_POINT_LIMIT = 12
-# every generator pair is checked with the solver, for duplicates and crossings
-# in one pass, so load time grows with the square of the count: a fountain of
-# 199 generators (completed:99) takes 0.2-0.35 s to load, certified or not
-GENERATOR_LIMIT = 200
-# the solver's splinter search loops up to a family's stride, so load time
-# grows linearly with it: 200 certified families with both ends moving, of
-# strides 20 and 19, take 3.3-3.9 s to load (0.9-1.2 s at strides 2 and 1)
-STRIDE_LIMIT = 20
-
-
-def require_window_points(m: int) -> None:
-    """Refuse a brute-force enumeration over a window of m points above the limit."""
-    if m > WINDOW_POINT_LIMIT:
-        raise ResourceLimitError(f"window has {m} points, limit is {WINDOW_POINT_LIMIT}")
-
-
-def require_generators(count: int) -> None:
-    """Refuse a triangulation of more than GENERATOR_LIMIT generators."""
-    if count > GENERATOR_LIMIT:
-        raise ResourceLimitError(f"triangulation has {count} generators, limit is {GENERATOR_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -376,7 +350,7 @@ class Triangulation:
     _crossing: Optional[tuple[Arc, Arc]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        require_generators(len(self.generators))
+        limits.require(len(self.generators), limits.GENERATOR_LIMIT, limits.GENERATORS)
         ends: dict[tuple[int, int], list[_Partner]] = {}
         families: list[tuple[int, Family]] = []
         for i, gen in enumerate(self.generators):
@@ -391,8 +365,7 @@ class Triangulation:
                     if isinstance(e, Moving):
                         if not 1 <= e.interval <= self.surface.intervals:
                             raise TriangulationError(f"moving endpoint interval {e.interval} out of range")
-                        if abs(e.stride) > STRIDE_LIMIT:
-                            raise ResourceLimitError(f"family stride {e.stride} exceeds the limit {STRIDE_LIMIT}")
+                        limits.require(e.stride, limits.STRIDE_LIMIT, limits.STRIDE)
                     elif e.surface is not self.surface:
                         raise TriangulationError("fixed endpoint on the wrong surface")
                 bad = _invalid_family_param(gen)
@@ -431,23 +404,32 @@ class Triangulation:
         return any(family_param_of(gen, arc) is not None for _, gen in self._families)
 
     def arcs_in_window(self, window: Window) -> frozenset[Arc]:
+        """The instances with both endpoints among the window's points.
+
+        A family is read off the window's regular points on the interval of
+        its first moving end, one parameter per point, so the work is bounded
+        by the window's size times the generator count, however far apart
+        the points lie.
+        """
         out: set[Arc] = set()
         pts = set(window.points)
+        positions: dict[int, set[int]] = {}
+        for p in window.points:
+            if p.pos is not None:
+                positions.setdefault(p.interval, set()).add(p.pos)
         for gen in self.generators:
             if isinstance(gen, Single):
                 if gen.arc.a in pts and gen.arc.b in pts:
                     out.add(gen.arc)
                 continue
-            fixed = gen.fixed_endpoint
-            if fixed is not None and fixed not in pts:
+            walk, other = (gen.e0, gen.e1) if isinstance(gen.e0, Moving) else (gen.e1, gen.e0)
+            others = positions.get(other.interval, ()) if isinstance(other, Moving) else None
+            if others is None and other not in pts:
                 continue
-            params = visible_params(gen, window)
-            if params.is_empty:
-                continue
-            for t in params.iterate():
-                arc = gen.arc_at(self.surface, t)
-                if arc.a in pts and arc.b in pts:
-                    out.add(arc)
+            for pos in positions.get(walk.interval, ()):
+                t = walk.param_for_pos(pos)
+                if t is not None and gen.domain.contains(t) and (others is None or other.pos_at(t) in others):
+                    out.add(gen.arc_at(self.surface, t))
         return frozenset(out)
 
 
@@ -512,7 +494,7 @@ def build_fountain(surface: Surface, base: Point) -> Triangulation:
     if base.surface is not surface:
         raise ValueError("base point on the wrong surface")
     n = surface.intervals
-    require_generators(2 * n + 1 if base.pos is not None else 2 * n - 1)
+    limits.require(2 * n + 1 if base.pos is not None else 2 * n - 1, limits.GENERATOR_LIMIT, limits.GENERATORS)
     gens: list[Generator] = []
     if base.pos is not None:
         k, p = base.interval, base.pos
@@ -712,7 +694,7 @@ def window_brute_force(w: Window) -> list[frozenset[Arc]]:
     diagonal is built as one ``Arc`` shared by every set that holds it.
     """
     m = len(w.points)
-    require_window_points(m)
+    limits.require(m, limits.WINDOW_POINT_LIMIT, limits.WINDOW_POINTS)
     pts = w.points
     mandatory: set[Arc] = set()
     for i in range(m):
@@ -864,8 +846,7 @@ class Progression:
         return Progression(self.interval, self.base, self.stride, params)
 
 
-@dataclass(frozen=True)
-class NeighborScan:
+class NeighborScan(NamedTuple):
     """Partner points of triangulation arcs at one endpoint, on one side.
 
     ``extremum`` is the maximum (left scans) or minimum (right scans) in the
@@ -1029,7 +1010,7 @@ def triangulation_to_json(t: Triangulation) -> dict:
 def triangulation_from_json(doc: dict) -> Triangulation:
     surface = parse_surface(_json_value(doc["surface"], str, "surface"))
     items = _json_value(doc["generators"], list, "generators")
-    require_generators(len(items))  # before any entry is parsed
+    limits.require(len(items), limits.GENERATOR_LIMIT, limits.GENERATORS)  # before any entry is parsed
     gens: list[Generator] = []
     for item in items:
         _json_value(item, dict, "generator record")
@@ -1058,7 +1039,7 @@ def triangulation_from_json(doc: dict) -> Triangulation:
         cert = CERTIFIED_MAXIMAL
     elif isinstance(spec, dict) and "window" in spec:
         window = _json_value(spec["window"], list, "certificate window")
-        require_window_points(len(window))
+        limits.require(len(window), limits.WINDOW_POINT_LIMIT, limits.WINDOW_POINTS)
         pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in window)
         cert = Certificate(CertificateStatus.WINDOW_CHECKED, Window(surface, pts))
     elif spec is not None:

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import affine, triangulation
+from infgon import affine, limits, triangulation
 from infgon.arcs import arc_key, format_arc, parse_arc
 from infgon.cli import main
 from infgon.homs import is_weak_ct
-from infgon.render import POINT_LIMIT, RADIUS_LIMIT
+from infgon.limits import GENERATOR_LIMIT, POINT_LIMIT, STRIDE_LIMIT
 from infgon.surface import Surface, format_point
-from infgon.triangulation import GENERATOR_LIMIT, STRIDE_LIMIT, Window, window_arcs, window_brute_force
+from infgon.triangulation import Window, window_arcs, window_brute_force
 
 
 def run(capsys, *argv):
@@ -242,8 +242,8 @@ def test_fountain_generator_count_is_known_before_building(monkeypatch):
         s = Surface(True, n)
         for base, count in ((s.point(1, 0), 2 * n + 1), (s.accumulation(1), 2 * n - 1)):
             assert len(triangulation.build_fountain(s, base).generators) == count
-            monkeypatch.setattr(triangulation, "GENERATOR_LIMIT", count - 1)
-            with pytest.raises(triangulation.ResourceLimitError, match=f"has {count} generators"):
+            monkeypatch.setattr(limits, "GENERATOR_LIMIT", count - 1)
+            with pytest.raises(limits.ResourceLimitError, match=f"has {count} generators"):
                 triangulation.build_fountain(s, base)
             monkeypatch.undo()
 
@@ -494,6 +494,16 @@ def test_limit_verb(capsys):
     ) == (0, {"kind": "accumulation-point", "point": "a1"})
 
 
+def test_limit_bounds_are_parsed_as_integers(capsys):
+    # argparse refuses a bad bound by its flag, like every other integer flag
+    for flag in ("--lo", "--hi"):
+        code = main(["limit", "--surface", "completed:1", "--fixed", "a1", "--interval", "1", "--base", "0",
+                     "--stride", "1", flag, "x"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"argument {flag}: invalid int value: 'x'" in captured.err
+
+
 def test_render_verb(tmp_path, capsys):
     out = tmp_path / "pic.svg"
     code, payload = run_json(
@@ -531,24 +541,28 @@ def test_render_marks_an_escape_between_uncompleted_intervals(tmp_path, capsys):
 
 
 def test_render_radius_limit(tmp_path, capsys):
+    """The point limit alone bounds the radius: 606 points are those of radius
+    100 on completed:3 and of radius 302 on completed:1."""
     out = tmp_path / "pic.svg"
-    argv = ["render", "--triangulation", "fountain(completed:3,1:0)", "--out", str(out), "--radius"]
-    code = main([*argv, "1000000000000"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == "" and not out.exists()
-    assert captured.err == f"error: render window radius 1000000000000 exceeds the limit {RADIUS_LIMIT}\n"
-    code, payload = run_json(capsys, *argv, str(RADIUS_LIMIT))
-    assert code == 0 and payload["points"] == 3 * (2 * RADIUS_LIMIT + 1) + 3
+    for surface, radius, points in (("completed:3", 10**12, 6 * 10**12 + 6), ("completed:1", 303, 608)):
+        code = main(["render", "--triangulation", f"fountain({surface},1:0)", "--out", str(out), "--radius", str(radius)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "") and not out.exists()
+        assert captured.err == f"error: render window has {points} points, limit is {POINT_LIMIT}\n"
+    for surface, radius in (("completed:3", 100), ("completed:1", 302)):
+        argv = ["render", "--triangulation", f"fountain({surface},1:0)", "--out", str(out), "--radius", str(radius)]
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload["points"]) == (0, POINT_LIMIT), surface
 
 
 def test_render_point_limit_is_checked_before_building(tmp_path, capsys, monkeypatch):
-    assert POINT_LIMIT == Window.symmetric_size(Surface(True, 3), RADIUS_LIMIT)
+    assert POINT_LIMIT == Window.symmetric_size(Surface(True, 3), 100) == Window.symmetric_size(Surface(True, 1), 302)
     built = []
     monkeypatch.setattr(Window, "symmetric", lambda *args, **kw: built.append(args))
     out = tmp_path / "pic.svg"
     for argv, points in (
         (["--surface", "completed:20000", "--radius", "2"], 120000),
-        (["--triangulation", "fountain(completed:4,1:0)", "--radius", str(RADIUS_LIMIT)], 808),
+        (["--triangulation", "fountain(completed:4,1:0)", "--radius", "100"], 808),
     ):
         code = main(["render", *argv, "--out", str(out)])
         captured = capsys.readouterr()

@@ -20,9 +20,10 @@ import infgon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-ENGINE = {"surface", "affine", "arcs", "homs", "triangulation", "mutation", "render", "acceptance", "cli"}
-TRIANGULATION = {"triangulation", "affine", "arcs", "surface"}
+ENGINE = {"limits", "surface", "affine", "arcs", "homs", "triangulation", "mutation", "render", "acceptance", "cli"}
+TRIANGULATION = {"triangulation", "limits", "affine", "arcs", "surface"}
 LOADS = {
+    "limits": {"limits"},
     "surface": {"surface"},
     "affine": {"affine"},
     "arcs": {"arcs", "surface"},

@@ -319,7 +319,7 @@ def _outcome(scan, *args):
 
 def _fields(result):
     if isinstance(result, NeighborScan):
-        return tuple(getattr(result, f) for f in NeighborScan.__dataclass_fields__)
+        return tuple(getattr(result, f) for f in NeighborScan._fields)
     return result
 
 

@@ -1,13 +1,14 @@
 """The symbolic generator predicates against instance-by-instance brute force."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import arcs_on
-from infgon.arcs import Arc, cross_transverse
+from infgon.arcs import Arc, cross_transverse, format_arc
 from infgon.surface import Point, Surface
 from infgon.triangulation import (
     Family,
@@ -17,6 +18,7 @@ from infgon.triangulation import (
     Triangulation,
     TriangulationError,
     Window,
+    build_fountain,
     crossing_witness,
     duplicate_witness,
     family_param_of,
@@ -250,3 +252,74 @@ def test_visible_params_are_bounded(data):
     window = Window.of_points(data.draw(st.lists(st.sampled_from(pts), min_size=1, unique=True)))
     params = visible_params(fam, window)
     assert params.is_empty or params.is_bounded
+
+
+def counting_arc_at():
+    """``Family.arc_at``, patched to count its calls inside a ``with`` block."""
+    return mock.patch.object(Family, "arc_at", autospec=True, side_effect=Family.arc_at)
+
+
+def far_window(data, surface: Surface, near: list[Point]) -> Window:
+    """A window of some of the ``near`` points and of points 10^6 and 10^12
+    out on every interval, so its positions span far more than its size."""
+    far = [Point(surface, k, sign * (scale + d)) for k in range(1, surface.intervals + 1)
+           for sign in (1, -1) for scale in (10**6, 10**12) for d in (0, 1)]
+    if surface.completed:
+        far += [Point(surface, k, None) for k in range(1, surface.intervals + 1)]
+    return Window.of_points(data.draw(st.lists(st.sampled_from(near + far), min_size=1, unique=True)))
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_arcs_in_window_matches_brute_force_on_far_windows(data):
+    """The window's arcs are the materialized instances with both ends in it,
+    and at most one instance is built per window point and generator."""
+    surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 2)]))
+    gens = tuple(data.draw(bounded_families(surface, singles=True)) for _ in range(data.draw(st.integers(1, 3))))
+    try:
+        t = Triangulation(surface, gens)
+    except TriangulationError:
+        assume(False)
+    arcs = [a for g in gens for a in materialize(surface, g)]
+    window = far_window(data, surface, [p for a in arcs for p in a.endpoints])
+    pts = set(window.points)
+    with counting_arc_at() as arc_at:
+        got = t.arcs_in_window(window)
+    assert got == {a for a in arcs if a.a in pts and a.b in pts}
+    assert arc_at.call_count <= len(window.points) * len(gens)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_arcs_in_window_of_unbounded_families_matches_membership(data):
+    """On any domain, the window's arcs are the arcs between window points
+    that the family presents, reached within the same work bound."""
+    surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 2)]))
+    fam = data.draw(families_with_any_domain(surface))
+    try:
+        t = Triangulation(surface, (fam,))
+    except TriangulationError:
+        assume(False)
+    window = far_window(data, surface, list(Window.symmetric(surface, 8, include_accumulation=False).points))
+    expected = set()
+    for p, q in itertools.combinations(window.points, 2):
+        try:
+            arc = Arc(p, q)
+        except ValueError:
+            continue
+        if family_param_of(fam, arc) is not None:
+            expected.add(arc)
+    with counting_arc_at() as arc_at:
+        got = t.arcs_in_window(window)
+    assert got == expected
+    assert arc_at.call_count <= len(window.points)
+
+
+def test_arcs_in_window_is_bounded_by_its_points_not_its_span():
+    s = Surface(True, 1)
+    t = build_fountain(s, s.point(1, 0))
+    window = Window.of_points([s.point(1, 0), s.point(1, 5), s.point(1, 10**6)])
+    with counting_arc_at() as arc_at:
+        got = t.arcs_in_window(window)
+    assert sorted(map(format_arc, got)) == ["1:0-1:1000000", "1:0-1:5"]
+    assert arc_at.call_count == 2 <= len(window.points) * len(t.generators)

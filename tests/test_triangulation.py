@@ -6,6 +6,7 @@ import json
 import pytest
 
 from infgon import triangulation
+from infgon.limits import ResourceLimitError
 from infgon.arcs import Arc, cross_transverse, format_arc, parse_arc
 from infgon.surface import MixedSurfaceError, Point, Surface
 from infgon.triangulation import (
@@ -19,7 +20,6 @@ from infgon.triangulation import (
     LeapfrogError,
     LimitKind,
     Moving,
-    ResourceLimitError,
     Side,
     Single,
     Triangulation,
