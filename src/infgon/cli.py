@@ -12,58 +12,29 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .arcs import Arc, ArcClass, classify, cross_transverse, format_arc, parse_arc
-from .homs import (
-    ExtCase,
-    ext_case,
-    ext_dim,
-    ext_dim_oracle,
-    factors_over,
-    hom_dim,
-    is_weak_ct,
-)
-from .mutation import (
-    UNDEFINED,
-    MutabilityError,
-    approximate,
-    flip,
-    mutability_report,
-    quad_frame,
-    right_module_generators,
-    NotFinitelyGenerated,
-)
-from .render import RenderSpec, render_svg
 from .surface import Surface, format_point, parse_point, parse_surface
-from .triangulation import (
-    IntRange,
-    Family,
-    Moving,
-    Side,
-    Triangulation,
-    Window,
-    build_fountain,
-    canonical_zigzag,
-    detect_leapfrog,
-    limit_of_family,
-    triangulation_from_json,
-    triangulation_to_json,
-    validate_non_crossing,
-    window_arcs,
-    window_brute_force,
-)
+
+if TYPE_CHECKING:
+    from .triangulation import Triangulation
+
+# Each verb imports the layers it queries when it runs, after parsing its
+# tokens, so a cold call loads only its own closure, and a refused token
+# loads no layer that parsing it does not need (``tests/test_layers.py``
+# pins both).
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-_CASE_NAMES = {
-    ExtCase.CROSSING: "TransverseCross",
-    ExtCase.CLOCKWISE_AT_ACCUMULATION: "ClockwiseAtAccumulation",
-    ExtCase.DOUBLE_ACCUMULATION_SELF: "DoubleAccumulationSelf",
-    ExtCase.NONE: "NoExt",
+_CASE_NAMES = {  # keyed by ``homs.ExtCase`` member name
+    "CROSSING": "TransverseCross",
+    "CLOCKWISE_AT_ACCUMULATION": "ClockwiseAtAccumulation",
+    "DOUBLE_ACCUMULATION_SELF": "DoubleAccumulationSelf",
+    "NONE": "NoExt",
 }
 
 _FAMILY_NAMES = {"all": None, "collapsing": ArcClass.COLLAPSING, "persistent": ArcClass.PERSISTENT}
@@ -87,6 +58,8 @@ _ZIGZAG_RE = re.compile(r"^zigzag\((completed:\d+)\)$")
 
 
 def _load_triangulation(token: str) -> Triangulation:
+    from .triangulation import build_fountain, canonical_zigzag, triangulation_from_json
+
     m = _FOUNTAIN_RE.match(token.strip())
     if m:
         surface = parse_surface(m.group(1))
@@ -107,6 +80,10 @@ def _load_triangulation(token: str) -> Triangulation:
         raise UsageError(f"triangulation {token!r}: malformed document ({exc})")
     except RecursionError:
         raise UsageError(f"triangulation {token!r}: nested too deeply")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"triangulation {token!r}: not a JSON document ({exc})")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"triangulation {token!r}: not UTF-8 text ({exc})")
 
 
 def _write_out(path: str, text: str) -> None:
@@ -132,18 +109,24 @@ def _arc_pair(args, completed: bool | None = None) -> tuple[Arc, Arc]:
 
 def _cmd_hom(args) -> int:
     g, d = _arc_pair(args)
+    from .homs import hom_dim
+
     _emit({"dim": hom_dim(g, d)}, args.pretty)
     return EXIT_OK
 
 
 def _cmd_ext(args) -> int:
     g, d = _arc_pair(args, completed=True)
-    _emit({"dim": ext_dim(g, d), "case": _CASE_NAMES[ext_case(g, d)]}, args.pretty)
+    from .homs import ext_case, ext_dim
+
+    _emit({"dim": ext_dim(g, d), "case": _CASE_NAMES[ext_case(g, d).name]}, args.pretty)
     return EXIT_OK
 
 
 def _cmd_ext_oracle(args) -> int:
     g, d = _arc_pair(args, completed=True)
+    from .homs import ext_dim_oracle
+
     _emit({"dim": ext_dim_oracle(g, d)}, args.pretty)
     return EXIT_OK
 
@@ -156,6 +139,10 @@ def _cmd_cross(args) -> int:
 
 def _cmd_factor(args) -> int:
     g, d = _arc_pair(args, completed=False)
+    from .homs import factors_over, hom_dim
+
+    if not hom_dim(g, d):
+        raise UsageError(f"factor needs a nonzero morphism from {args.src} to {args.dst}")
     fam = _FAMILY_NAMES[args.family]
     _emit({"factors": factors_over(g, d, fam), "family": args.family}, args.pretty)
     return EXIT_OK
@@ -170,6 +157,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_validate(args) -> int:
     t = _load_triangulation(args.triangulation)
+    from .triangulation import validate_non_crossing
+
     report = validate_non_crossing(t)
     payload = {"ok": report.ok}
     if report.witness:
@@ -180,6 +169,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_window_ct(args) -> int:
     surface = parse_surface(args.surface)
+    from .homs import is_weak_ct
+    from .triangulation import Window, window_arcs, window_brute_force
+
     include_accumulation = not args.no_accumulation
     limits.require(Window.symmetric_size(surface, args.bound, include_accumulation), limits.WINDOW_POINT_LIMIT,
                    limits.WINDOW_POINTS)
@@ -200,6 +192,8 @@ def _cmd_window_ct(args) -> int:
 
 def _cmd_leapfrog(args) -> int:
     t = _load_triangulation(args.triangulation)
+    from .triangulation import detect_leapfrog
+
     w = detect_leapfrog(t)
     if w is None:
         _emit({"leapfrog": False}, args.pretty)
@@ -219,6 +213,8 @@ def _cmd_leapfrog(args) -> int:
 def _cmd_limit(args) -> int:
     surface = _flavoured(args, parse_surface(args.surface), completed=True)
     fixed = parse_point(surface, args.fixed)
+    from .triangulation import Family, IntRange, Moving, limit_of_family
+
     fam = Family(fixed, Moving(args.interval, args.base, args.stride), IntRange(args.lo, args.hi))
     res = limit_of_family(surface, fam, end=args.end)
     payload = {"kind": res.kind.value}
@@ -231,12 +227,16 @@ def _cmd_limit(args) -> int:
 
 
 def _frame_cell(entry) -> str:
+    from .mutation import UNDEFINED
+
     return "undefined" if entry is UNDEFINED else format_point(entry)
 
 
 def _cmd_frame(args) -> int:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
+    from .mutation import quad_frame
+
     f = quad_frame(t, a)
     _emit(
         {
@@ -255,6 +255,9 @@ def _cmd_frame(args) -> int:
 def _cmd_approx(args) -> int:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
+    from .mutation import approximate
+    from .triangulation import Side
+
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     res = approximate(t, a, side)
     if res.exists:
@@ -271,6 +274,8 @@ def _cmd_approx(args) -> int:
 def _cmd_mutable(args) -> int:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
+    from .mutation import mutability_report
+
     ok, reason, _frame = mutability_report(t, a)
     payload = {"mutable": ok}
     if reason:
@@ -282,6 +287,9 @@ def _cmd_mutable(args) -> int:
 def _cmd_flip(args) -> int:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
+    from .mutation import MutabilityError, flip
+    from .triangulation import triangulation_to_json
+
     try:
         res = flip(t, a)
     except MutabilityError as exc:
@@ -309,6 +317,8 @@ def _cmd_flip(args) -> int:
 def _cmd_approx_object(args) -> int:
     t = _load_triangulation(args.triangulation)
     g = parse_arc(t.surface, args.arc)
+    from .mutation import NotFinitelyGenerated, right_module_generators
+
     res = right_module_generators(t, g)
     if isinstance(res, NotFinitelyGenerated):
         _emit({"finite": False, "witness": res.description}, args.pretty)
@@ -326,6 +336,8 @@ def _cmd_render(args) -> int:
     else:
         surface = parse_surface(args.surface)
         subject = [parse_arc(surface, tok) for tok in args.arcs]
+    from .render import RenderSpec, render_svg
+
     spec = RenderSpec(radius=args.radius, highlight=tuple(parse_arc(surface, h) for h in args.highlight))
     svg = render_svg(subject, spec, surface=surface)
     _write_out(args.out, svg)

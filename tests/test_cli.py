@@ -63,6 +63,13 @@ def test_hom_cross_factor_classify(capsys):
     assert payload == {"class": "persistent"}
 
 
+def test_factor_needs_a_nonzero_morphism(capsys):
+    code = main(["factor", "--surface", "uncompleted:2", "--from", "1:0-2:0", "--to", "1:1-2:1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: factor needs a nonzero morphism from 1:0-2:0 to 1:1-2:1\n"
+
+
 def test_ext_oracle_verb(capsys):
     code, payload = run_json(capsys, "ext-oracle", "--surface", "completed:2", "--from", "a1-a2", "--to", "a1-a2")
     assert payload == {"dim": 0}
@@ -93,12 +100,18 @@ def test_validate_and_exit_codes(tmp_path, capsys):
     no_surface.write_text(json.dumps({"generators": []}))
     a_list = tmp_path / "list.json"
     a_list.write_text("[]")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(doc)[:42])
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff" + json.dumps(doc).encode())
     for bad, verb, named in (
         (claimed, "validate", "arcs cross: 1:0-1:2 and 1:1-1:3"),
         (claimed, "approx-object", "arcs cross: 1:0-1:2 and 1:1-1:3"),
         (no_surface, "validate", "missing field 'surface'"),
         (a_list, "validate", str(a_list)),
         (tmp_path, "validate", str(tmp_path)),
+        (truncated, "validate", f"triangulation {str(truncated)!r}: not a JSON document (Expecting "),
+        (not_utf8, "validate", f"triangulation {str(not_utf8)!r}: not UTF-8 text ('utf-8' codec can't decode byte 0xff"),
     ):
         extra = ["--arc", "1:-2-1:2"] if verb == "approx-object" else []
         code = main([verb, "--triangulation", str(bad), *extra])
