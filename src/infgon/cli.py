@@ -24,18 +24,12 @@ if TYPE_CHECKING:
 # Each verb imports the layers it queries when it runs, after parsing its
 # tokens, so a cold call loads only its own closure, and a refused token
 # loads no layer that parsing it does not need (``tests/test_layers.py``
-# pins both).
+# pins both).  Each verb returns its payload and exit code; ``main`` alone
+# prints the payload.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-_CASE_NAMES = {  # keyed by ``homs.ExtCase`` member name
-    "CROSSING": "TransverseCross",
-    "CLOCKWISE_AT_ACCUMULATION": "ClockwiseAtAccumulation",
-    "DOUBLE_ACCUMULATION_SELF": "DoubleAccumulationSelf",
-    "NONE": "NoExt",
-}
 
 _FAMILY_NAMES = {"all": None, "collapsing": ArcClass.COLLAPSING, "persistent": ArcClass.PERSISTENT}
 
@@ -107,55 +101,49 @@ def _arc_pair(args, completed: bool | None = None) -> tuple[Arc, Arc]:
     return parse_arc(surface, args.src), parse_arc(surface, args.dst)
 
 
-def _cmd_hom(args) -> int:
+def _cmd_hom(args) -> tuple[dict, int]:
     g, d = _arc_pair(args)
     from .homs import hom_dim
 
-    _emit({"dim": hom_dim(g, d)}, args.pretty)
-    return EXIT_OK
+    return {"dim": hom_dim(g, d)}, EXIT_OK
 
 
-def _cmd_ext(args) -> int:
+def _cmd_ext(args) -> tuple[dict, int]:
     g, d = _arc_pair(args, completed=True)
     from .homs import ext_case, ext_dim
 
-    _emit({"dim": ext_dim(g, d), "case": _CASE_NAMES[ext_case(g, d).name]}, args.pretty)
-    return EXIT_OK
+    return {"dim": ext_dim(g, d), "case": ext_case(g, d).value}, EXIT_OK
 
 
-def _cmd_ext_oracle(args) -> int:
+def _cmd_ext_oracle(args) -> tuple[dict, int]:
     g, d = _arc_pair(args, completed=True)
     from .homs import ext_dim_oracle
 
-    _emit({"dim": ext_dim_oracle(g, d)}, args.pretty)
-    return EXIT_OK
+    return {"dim": ext_dim_oracle(g, d)}, EXIT_OK
 
 
-def _cmd_cross(args) -> int:
+def _cmd_cross(args) -> tuple[dict, int]:
     g, d = _arc_pair(args)
-    _emit({"cross": cross_transverse(g, d)}, args.pretty)
-    return EXIT_OK
+    return {"cross": cross_transverse(g, d)}, EXIT_OK
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple[dict, int]:
     g, d = _arc_pair(args, completed=False)
     from .homs import factors_over, hom_dim
 
     if not hom_dim(g, d):
         raise UsageError(f"factor needs a nonzero morphism from {args.src} to {args.dst}")
     fam = _FAMILY_NAMES[args.family]
-    _emit({"factors": factors_over(g, d, fam), "family": args.family}, args.pretty)
-    return EXIT_OK
+    return {"factors": factors_over(g, d, fam), "family": args.family}, EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, int]:
     surface = _flavoured(args, parse_surface(args.surface), completed=False)
     arc = parse_arc(surface, args.arc)
-    _emit({"class": classify(arc).value}, args.pretty)
-    return EXIT_OK
+    return {"class": classify(arc).value}, EXIT_OK
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[dict, int]:
     t = _load_triangulation(args.triangulation)
     from .triangulation import validate_non_crossing
 
@@ -163,11 +151,10 @@ def _cmd_validate(args) -> int:
     payload = {"ok": report.ok}
     if report.witness:
         payload["witness"] = [format_arc(a) for a in report.witness]
-    _emit(payload, args.pretty)
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return payload, EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_window_ct(args) -> int:
+def _cmd_window_ct(args) -> tuple[dict, int]:
     surface = parse_surface(args.surface)
     from .homs import is_weak_ct
     from .triangulation import Window, window_arcs, window_brute_force
@@ -186,31 +173,25 @@ def _cmd_window_ct(args) -> int:
         "weak_cluster_tilting": weak_ct,
         "match": weak_ct == len(sets),
     }
-    _emit(payload, args.pretty)
-    return EXIT_OK if payload["match"] else EXIT_VERIFY_FAILED
+    return payload, EXIT_OK if payload["match"] else EXIT_VERIFY_FAILED
 
 
-def _cmd_leapfrog(args) -> int:
+def _cmd_leapfrog(args) -> tuple[dict, int]:
     t = _load_triangulation(args.triangulation)
     from .triangulation import detect_leapfrog
 
     w = detect_leapfrog(t)
     if w is None:
-        _emit({"leapfrog": False}, args.pretty)
-    else:
-        _emit(
-            {
-                "leapfrog": True,
-                "offset": w.offset,
-                "direction": w.direction,
-                "curve_ends": list(w.curve_ends),
-            },
-            args.pretty,
-        )
-    return EXIT_OK
+        return {"leapfrog": False}, EXIT_OK
+    return {
+        "leapfrog": True,
+        "offset": w.offset,
+        "direction": w.direction,
+        "curve_ends": list(w.curve_ends),
+    }, EXIT_OK
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> tuple[dict, int]:
     surface = _flavoured(args, parse_surface(args.surface), completed=True)
     fixed = parse_point(surface, args.fixed)
     from .triangulation import Family, IntRange, Moving, limit_of_family
@@ -222,8 +203,7 @@ def _cmd_limit(args) -> int:
         payload["arc"] = format_arc(res.arc)
     if res.point is not None:
         payload["point"] = format_point(res.point)
-    _emit(payload, args.pretty)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def _frame_cell(entry) -> str:
@@ -232,27 +212,23 @@ def _frame_cell(entry) -> str:
     return "undefined" if entry is UNDEFINED else format_point(entry)
 
 
-def _cmd_frame(args) -> int:
+def _cmd_frame(args) -> tuple[dict, int]:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
     from .mutation import quad_frame
 
     f = quad_frame(t, a)
-    _emit(
-        {
-            "u": format_point(f.u),
-            "v": format_point(f.v),
-            "u_left": _frame_cell(f.u_left),
-            "u_right": _frame_cell(f.u_right),
-            "v_left": _frame_cell(f.v_left),
-            "v_right": _frame_cell(f.v_right),
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+    return {
+        "u": format_point(f.u),
+        "v": format_point(f.v),
+        "u_left": _frame_cell(f.u_left),
+        "u_right": _frame_cell(f.u_right),
+        "v_left": _frame_cell(f.v_left),
+        "v_right": _frame_cell(f.v_right),
+    }, EXIT_OK
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> tuple[dict, int]:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
     from .mutation import approximate
@@ -261,17 +237,15 @@ def _cmd_approx(args) -> int:
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     res = approximate(t, a, side)
     if res.exists:
-        _emit({"exists": True, "summands": [format_arc(s) for s in res.summands]}, args.pretty)
-    else:
-        scan = res.failed_scan
-        witness = [format_point(p) for p in scan.singles] + [
-            f"{pr.interval}:{pr.base}{'+' if pr.stride > 0 else ''}{pr.stride}t" for pr in scan.progressions
-        ]
-        _emit({"exists": False, "reason": "NoExtremum", "witness": witness}, args.pretty)
-    return EXIT_OK
+        return {"exists": True, "summands": [format_arc(s) for s in res.summands]}, EXIT_OK
+    scan = res.failed_scan
+    witness = [format_point(p) for p in scan.singles] + [
+        f"{pr.interval}:{pr.base}{'+' if pr.stride > 0 else ''}{pr.stride}t" for pr in scan.progressions
+    ]
+    return {"exists": False, "reason": "NoExtremum", "witness": witness}, EXIT_OK
 
 
-def _cmd_mutable(args) -> int:
+def _cmd_mutable(args) -> tuple[dict, int]:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
     from .mutation import mutability_report
@@ -280,11 +254,10 @@ def _cmd_mutable(args) -> int:
     payload = {"mutable": ok}
     if reason:
         payload["reason"] = reason
-    _emit(payload, args.pretty)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_flip(args) -> int:
+def _cmd_flip(args) -> tuple[dict, int]:
     t = _load_triangulation(args.triangulation)
     a = parse_arc(t.surface, args.arc)
     from .mutation import MutabilityError, flip
@@ -293,8 +266,7 @@ def _cmd_flip(args) -> int:
     try:
         res = flip(t, a)
     except MutabilityError as exc:
-        _emit({"flipped": False, "reason": exc.reason}, args.pretty)
-        return EXIT_VERIFY_FAILED
+        return {"flipped": False, "reason": exc.reason}, EXIT_VERIFY_FAILED
     payload = {
         "flipped": True,
         "new_arc": format_arc(res.new_arc),
@@ -310,24 +282,21 @@ def _cmd_flip(args) -> int:
     if args.out:
         _write_out(args.out, json.dumps(triangulation_to_json(res.new_triangulation), sort_keys=True, indent=1))
         payload["written"] = args.out
-    _emit(payload, args.pretty)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_approx_object(args) -> int:
+def _cmd_approx_object(args) -> tuple[dict, int]:
     t = _load_triangulation(args.triangulation)
     g = parse_arc(t.surface, args.arc)
     from .mutation import NotFinitelyGenerated, right_module_generators
 
     res = right_module_generators(t, g)
     if isinstance(res, NotFinitelyGenerated):
-        _emit({"finite": False, "witness": res.description}, args.pretty)
-    else:
-        _emit({"finite": True, "generators": [format_arc(a) for a in res]}, args.pretty)
-    return EXIT_OK
+        return {"finite": False, "witness": res.description}, EXIT_OK
+    return {"finite": True, "generators": [format_arc(a) for a in res]}, EXIT_OK
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[dict, int]:
     if args.triangulation:
         subject = _load_triangulation(args.triangulation)
         surface = subject.surface
@@ -341,18 +310,14 @@ def _cmd_render(args) -> int:
     spec = RenderSpec(radius=args.radius, highlight=tuple(parse_arc(surface, h) for h in args.highlight))
     svg = render_svg(subject, spec, surface=surface)
     _write_out(args.out, svg)
-    _emit(
-        {
-            "written": args.out,
-            "points": svg.count('class="pt"') + svg.count('class="acc"'),
-            "arcs": svg.count('class="arc'),
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+    return {
+        "written": args.out,
+        "points": svg.count('class="pt"') + svg.count('class="acc"'),
+        "arcs": svg.count('class="arc'),
+    }, EXIT_OK
 
 
-def _cmd_verify_suite(args) -> int:
+def _cmd_verify_suite(args) -> tuple[dict, int]:
     from . import acceptance  # only this verb runs the batteries
 
     results = acceptance.run_all(args.level)
@@ -360,8 +325,7 @@ def _cmd_verify_suite(args) -> int:
         print(r.line(), file=sys.stderr)
     passed = sum(1 for r in results if r.passed)
     payload = {"passed": passed, "failed": len(results) - passed, "level": args.level}
-    _emit(payload, args.pretty)
-    return EXIT_OK if passed == len(results) else EXIT_VERIFY_FAILED
+    return payload, EXIT_OK if passed == len(results) else EXIT_VERIFY_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -475,10 +439,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.run(args)
+        payload, code = args.run(args)
     except (UsageError, ValueError, limits.ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(payload, args.pretty)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,12 +22,15 @@ from .surface import MixedSurfaceError, Point, _orient, adjacent, between
 
 
 class ExtCase(Enum):
-    """Why a completed arc pair carries a one-step extension, if it does."""
+    """Why a completed arc pair carries a one-step extension, if it does.
 
-    CROSSING = "crossing"
-    CLOCKWISE_AT_ACCUMULATION = "clockwise-at-accumulation"
-    DOUBLE_ACCUMULATION_SELF = "double-accumulation-self"
-    NONE = "none"
+    The values are the names ``infgon ext`` prints.
+    """
+
+    CROSSING = "TransverseCross"
+    CLOCKWISE_AT_ACCUMULATION = "ClockwiseAtAccumulation"
+    DOUBLE_ACCUMULATION_SELF = "DoubleAccumulationSelf"
+    NONE = "NoExt"
 
 
 @dataclass(frozen=True)

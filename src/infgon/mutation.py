@@ -233,13 +233,14 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
     """Generators of the incoming morphisms from t into the shift of g.
 
     The arcs of t admitting a nonzero map to the shifted g form support
-    runs, one per family, and single arcs.  A run of a fan is represented by
-    its finite ends and, where it is unbounded towards smaller partner
-    positions, by the fan's limit arc, all ending at the apex; without that
-    limit arc in the support no finite generating set exists.  A run with no
-    common endpoint is listed arc by arc when bounded and is infinitely
-    generated when not.  Listed and single arcs join a group at an apex they
-    end at, or at an endpoint they share with another of them.
+    runs, one per family, and single arcs.  A run of a fan, cut in two where
+    it jumps over its apex, is represented piece by piece by its finite ends
+    and, where it is unbounded towards smaller partner positions, by the
+    fan's limit arc, all ending at the apex; without that limit arc in the
+    support no finite generating set exists.  A run with no common endpoint
+    is listed arc by arc when bounded and is infinitely generated when not.
+    Listed and single arcs join a group at an apex they end at, or at an
+    endpoint they share with another of them.
 
     So every group holds arcs {p, q} sharing one point p, and ``hom_dim``
     orders them totally.  If q comes before r walking anticlockwise from p,
@@ -265,6 +266,7 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
                 loose.append(gen.arc)
             continue
         apex = gen.fixed_endpoint
+        moving = gen.moving_endpoints[0]
         for r in _merge_ranges(ext_param_ranges(gen, g)):
             if apex is None:
                 if not r.is_bounded:
@@ -272,20 +274,30 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
                 limits.require(r.hi - r.lo + 1, limits.FAN_WIDTH_LIMIT, limits.SUPPORT_RUN)
                 loose.extend(gen.arc_at(t.surface, tt) for tt in r.iterate())
                 continue
-            # Morphisms between arcs of one fan run clockwise, i.e. towards
+            # Walking anticlockwise from a regular apex meets the partners
+            # above it on its own interval before those below it, so a run
+            # that jumps over the apex is decided piece by piece.
+            pieces = [r]
+            if moving.interval == apex.interval and apex.pos is not None:
+                pieces = [r.intersect(moving.params_with_pos_in(apex.pos + 1, None)),
+                          r.intersect(moving.params_with_pos_in(None, apex.pos - 1))]
+            # Morphisms between arcs of one piece run clockwise, i.e. towards
             # smaller partner positions, so only the position-minimal end of
-            # the support needs to be attained.
-            min_end = 1 if gen.moving_endpoints[0].stride < 0 else -1
-            if (r.hi if min_end > 0 else r.lo) is None:
-                lim = limit_of_family(t.surface, gen, end=min_end)
-                if (
-                    lim.kind is not LimitKind.ARC
-                    or not t.contains(lim.arc)
-                    or ext_case(lim.arc, g) is ExtCase.NONE
-                ):
-                    return NotFinitelyGenerated(gen, r, "fan support unbounded past any limit arc")
-                apex_candidates[apex].add(lim.arc)
-            apex_candidates[apex].update(gen.arc_at(t.surface, e) for e in (r.lo, r.hi) if e is not None)
+            # each piece needs to be attained.
+            min_end = 1 if moving.stride < 0 else -1
+            for piece in pieces:
+                if piece.is_empty:
+                    continue
+                if (piece.hi if min_end > 0 else piece.lo) is None:
+                    lim = limit_of_family(t.surface, gen, end=min_end)
+                    if (
+                        lim.kind is not LimitKind.ARC
+                        or not t.contains(lim.arc)
+                        or ext_case(lim.arc, g) is ExtCase.NONE
+                    ):
+                        return NotFinitelyGenerated(gen, piece, "fan support unbounded past any limit arc")
+                    apex_candidates[apex].add(lim.arc)
+                apex_candidates[apex].update(gen.arc_at(t.surface, e) for e in (piece.lo, piece.hi) if e is not None)
 
     # attach loose arcs to an existing fan apex where possible
     still_loose: list[Arc] = []

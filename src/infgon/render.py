@@ -43,24 +43,22 @@ class _Layout:
         m = len(pts)
         for i, p in enumerate(pts):
             self.angle[p] = -math.pi / 2 + 2 * math.pi * i / m
-        # angles of the gaps between intervals, for truncation ticks
+        # angles of the gaps between intervals, for truncation ticks; the
+        # render window holds every accumulation point and regular points on
+        # every interval
         self.gap_angle = {}
         surface = window.surface
         for k in range(1, surface.intervals + 1):
-            acc = Point(surface, k, None) if surface.completed else None
-            if acc is not None and acc in self.angle:
-                self.gap_angle[k] = self.angle[acc]
+            if surface.completed:
+                self.gap_angle[k] = self.angle[Point(surface, k, None)]
             else:
                 nxt = 1 if k == surface.intervals else k + 1
-                last = max((p for p in pts if p.interval == k and p.pos is not None),
-                           key=lambda p: p.pos, default=None)
-                first = min((p for p in pts if p.interval == nxt and p.pos is not None),
-                            key=lambda p: p.pos, default=None)
-                if last is not None and first is not None:
-                    a0, a1 = self.angle[last], self.angle[first]
-                    if a1 < a0:
-                        a1 += 2 * math.pi
-                    self.gap_angle[k] = (a0 + a1) / 2
+                last = max((p for p in pts if p.interval == k), key=lambda p: p.pos)
+                first = min((p for p in pts if p.interval == nxt), key=lambda p: p.pos)
+                a0, a1 = self.angle[last], self.angle[first]
+                if a1 < a0:
+                    a1 += 2 * math.pi
+                self.gap_angle[k] = (a0 + a1) / 2
 
     def xy(self, p: Point) -> tuple[float, float]:
         a = self.angle[p]
@@ -142,11 +140,9 @@ def render_svg(
         color = "#c22" if a in hl else "#226"
         parts.append(f'<path class="{cls}" d="{lay.chord(a.a, a.b)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     for gap in trunc_gaps:
-        angle = lay.gap_angle.get(gap)
-        if angle is not None:
-            parts.append(
-                f'<path class="trunc" d="{lay.tick(angle)}" fill="none" stroke="#888" stroke-width="1.2" stroke-dasharray="3,2"/>'
-            )
+        parts.append(
+            f'<path class="trunc" d="{lay.tick(lay.gap_angle[gap])}" fill="none" stroke="#888" stroke-width="1.2" stroke-dasharray="3,2"/>'
+        )
     for p in window.points:
         x, y = lay.xy(p)
         if p.pos is None:

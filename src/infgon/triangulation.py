@@ -316,7 +316,7 @@ def _invalid_family_param(fam: Family) -> Optional[int]:
     if r is None:
         return None
     # the difference grows with t (or stays): lowest t first; it shrinks: highest t
-    return r.hi if dcoef < 0 else next((b for b in (r.lo, r.hi) if b is not None), 0)
+    return r.hi if dcoef < 0 else r.witness()
 
 
 # an entry of the endpoint index: (generator position, partner point, partner circuit key)
@@ -592,11 +592,14 @@ def _pair_leapfrog(surface: Surface, alpha: Family, beta: Family) -> Optional[Le
 def detect_leapfrog(t: Triangulation) -> Optional[LeapfrogWitness]:
     """Find an infinite alternating tip-to-tip chain between two families.
 
-    With finitely many generators any infinite leapfrog must eventually
-    alternate between two families whose moving endpoints interleave, so
-    the pairwise search below is complete for this vocabulary.  Chains whose
-    two tip progressions escape to the same gap from the same side are
-    monotone scallop chains, crossed by no arc, and do not count.
+    The pairwise search finds a ladder only when consecutive rungs
+    alpha(t) and alpha(t + 1) of each side lie in one family, i.e. when the
+    ladder alternates between two of the given families.  The same ladder
+    split over more families (the zigzag as four stride-2 families, say) is
+    missed, so ``None`` rules a leapfrog out only for presentations where
+    each side of every ladder is one family.  Chains whose two tip
+    progressions escape to the same gap from the same side are monotone
+    scallop chains, crossed by no arc, and do not count.
     """
     fams = [g for g in t.generators if isinstance(g, Family)]
     for alpha in fams:
@@ -765,10 +768,7 @@ def limit_of_family(surface: Surface, fam: Family, end: int | None = None) -> Fa
     p = fam.fixed_endpoint
     if p is None:
         raise ValueError("limit needs a family with a fixed endpoint")
-    movings = fam.moving_endpoints
-    if len(movings) != 1:
-        raise ValueError("limit needs exactly one moving endpoint")
-    mov = movings[0]
+    mov = fam.moving_endpoints[0]
     ends = []
     if fam.domain.hi is None:
         ends.append(1)

@@ -32,9 +32,15 @@ def run_json(capsys, *argv):
 
 
 def test_ext_verb(capsys):
-    code, out = run(capsys, "ext", "--surface", "completed:2", "--from", "1:0-2:0", "--to", "1:1-2:1")
-    assert code == 0
-    assert out == '{"case": "TransverseCross", "dim": 1}'
+    """ext prints the restricted dimension and the case, under each case's name."""
+    for surface, src, dst, expected in (
+        ("completed:2", "1:0-2:0", "1:1-2:1", '{"case": "TransverseCross", "dim": 1}'),
+        ("completed:1", "1:3-a1", "1:0-a1", '{"case": "ClockwiseAtAccumulation", "dim": 0}'),
+        ("completed:2", "a1-a2", "a1-a2", '{"case": "DoubleAccumulationSelf", "dim": 0}'),
+        ("completed:1", "1:0-a1", "1:3-a1", '{"case": "NoExt", "dim": 0}'),
+    ):
+        code, out = run(capsys, "ext", "--surface", surface, "--from", src, "--to", dst)
+        assert (code, out) == (0, expected), (src, dst)
 
 
 def test_mutable_verb_fountain(capsys):
