@@ -298,17 +298,26 @@ def _cmd_approx_object(args) -> tuple[dict, int]:
 
 def _cmd_render(args) -> tuple[dict, int]:
     if args.triangulation:
-        subject = _load_triangulation(args.triangulation)
-        surface = subject.surface
+        given = [flag for flag, value in (("--surface", args.surface), ("--arcs", args.arcs)) if value is not None]
+        if given:
+            raise UsageError("render takes --triangulation or --surface with --arcs, "
+                             f"not --triangulation with {' and '.join(given)}")
+        t = _load_triangulation(args.triangulation)
+        surface = t.surface
     elif args.surface is None:
         raise UsageError("render needs --triangulation, or --surface with --arcs")
     else:
         surface = parse_surface(args.surface)
-        subject = [parse_arc(surface, tok) for tok in args.arcs]
+        arcs = dict.fromkeys(parse_arc(surface, tok) for tok in args.arcs or ())
+    highlight = tuple(parse_arc(surface, h) for h in args.highlight)
     from .render import RenderSpec, render_svg
+    from .triangulation import Single, Triangulation
 
-    spec = RenderSpec(radius=args.radius, highlight=tuple(parse_arc(surface, h) for h in args.highlight))
-    svg = render_svg(subject, spec, surface=surface)
+    spec = RenderSpec(radius=args.radius, highlight=highlight)
+    if not args.triangulation:
+        # an arc list is drawn as the triangulation of its distinct arcs, claiming nothing
+        t = Triangulation(surface, tuple(Single(a) for a in arcs))
+    svg = render_svg(t, spec)
     _write_out(args.out, svg)
     return {
         "written": args.out,
@@ -419,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw arcs or a triangulation as SVG")
     p.add_argument("--triangulation", default=None)
     p.add_argument("--surface", default=None)
-    p.add_argument("--arcs", nargs="*", default=[])
+    p.add_argument("--arcs", nargs="*", default=None)
     p.add_argument("--highlight", nargs="*", default=[])
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--out", required=True)

@@ -72,12 +72,16 @@ class BoundaryInterval:
         return [(None, None)] if _orient(sx, s, sy) else []
 
 
-def _segments(x: Point, y: Point) -> list[tuple]:
-    """Ordered decomposition of the open anticlockwise interval (x, y), x != y.
+def open_interval_segments(x: Point, y: Point) -> list[tuple]:
+    """Ordered decomposition of the open anticlockwise interval (x, y), endpoints excluded.
 
     Pieces are ('run', interval, lo, hi), with inclusive position bounds and
-    None for unbounded, and ('acc', interval).
+    None for unbounded, and ('acc', interval).  Neighbour scans do not call
+    it; the tests use it as the reference route that ``neighbor_scan`` is
+    checked against.
     """
+    if x == y:
+        raise ValueError("open interval needs distinct endpoints")
     sx, px = x.circuit_key()
     sy, py = y.circuit_key()
     if sx == sy and px < py:
@@ -95,17 +99,6 @@ def _segments(x: Point, y: Point) -> list[tuple]:
     if y.pos is not None:
         out.append(("run", y.interval, None, py - 1))
     return out
-
-
-def open_interval_segments(x: Point, y: Point) -> list[tuple]:
-    """Segments of the open anticlockwise interval (x, y), endpoints excluded.
-
-    Neighbour scans do not call it; the tests use it as the reference route
-    that ``neighbor_scan`` is checked against.
-    """
-    if x == y:
-        raise ValueError("open interval needs distinct endpoints")
-    return _segments(x, y)
 
 
 def _key_case(x: tuple[int, int], y: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> ExtCase:

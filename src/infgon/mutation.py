@@ -18,7 +18,7 @@ from .arcs import Arc, arc_key, format_arc
 from .homs import ExtCase, exchange_triangles, ext_case, hom_dim
 from .surface import MixedSurfaceError, Point, step
 from .triangulation import (
-    CertificateStatus,
+    CERTIFIED_MAXIMAL,
     Family,
     LimitKind,
     NeighborScan,
@@ -65,7 +65,7 @@ def _frame_entry(scan: NeighborScan, e: Point, default_dir: int) -> Optional[Poi
 
 
 def quad_frame(t: Triangulation, a: Arc) -> QuadFrame:
-    if t.certificate.status is CertificateStatus.UNVERIFIED:
+    if t.certificate is None:
         raise TriangulationError("quad frame needs a certified or window-checked triangulation")
     u, v = a.a, a.b
     scans = (
@@ -254,7 +254,7 @@ def right_module_generators(t: Triangulation, g: Arc) -> Union[list[Arc], NotFin
         raise MixedSurfaceError("query arc on the wrong surface")
     if not t.surface.completed:
         raise TriangulationError(f"module generators need a completed surface, got {t.surface.describe()!r}")
-    if t.certificate.status is not CertificateStatus.CERTIFIED_MAXIMAL:
+    if t.certificate != CERTIFIED_MAXIMAL:
         raise TriangulationError("module generators need a certified maximal triangulation")
 
     apex_candidates: dict[Point, set[Arc]] = defaultdict(set)

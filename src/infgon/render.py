@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 from . import limits
 from .arcs import Arc, arc_key
-from .surface import Point, Surface
+from .surface import Point
 from .triangulation import Family, Triangulation, Window, _escape, visible_params
 
 SIZE = 420  # width and height of the picture, in pixels
@@ -104,30 +103,17 @@ def _truncation_gaps(t: Triangulation, window: Window) -> list[int]:
     return sorted(gaps)
 
 
-def _render_window(surface: Surface, radius: int) -> Window:
-    limits.require(Window.symmetric_size(surface, radius), limits.POINT_LIMIT, limits.RENDER_POINTS)
-    return Window.symmetric(surface, radius)
+def render_svg(t: Triangulation, spec: RenderSpec) -> str:
+    """The SVG picture of t's arcs within the symmetric window of radius ``spec.radius``.
 
-
-def render_svg(
-    subject: Union[Triangulation, Sequence[Arc]],
-    spec: RenderSpec,
-    surface: Surface | None = None,
-) -> str:
-    if isinstance(subject, Triangulation):
-        surface = subject.surface
-        window = _render_window(surface, spec.radius)
-        arcs = sorted(subject.arcs_in_window(window), key=arc_key)
-        trunc_gaps = _truncation_gaps(subject, window)
-    else:
-        arcs = sorted(set(subject), key=arc_key)
-        if arcs:
-            surface = arcs[0].surface
-        elif surface is None:
-            raise ValueError("rendering an empty arc list needs an explicit surface")
-        window = _render_window(surface, spec.radius)
-        arcs = [a for a in arcs if a.a in window.points and a.b in window.points]
-        trunc_gaps = []
+    To draw an arc list, pass the triangulation of its distinct arcs with no
+    claim, as ``infgon render --arcs`` does; it has no family, so no
+    truncation tick.
+    """
+    limits.require(Window.symmetric_size(t.surface, spec.radius), limits.POINT_LIMIT, limits.RENDER_POINTS)
+    window = Window.symmetric(t.surface, spec.radius)
+    arcs = sorted(t.arcs_in_window(window), key=arc_key)
+    trunc_gaps = _truncation_gaps(t, window)
 
     lay = _Layout(window)
     hl = set(spec.highlight)

@@ -153,20 +153,14 @@ class Single:
 Generator = Union[Single, Family]
 
 
-class CertificateStatus(Enum):
-    CERTIFIED_MAXIMAL = "maximal"
-    WINDOW_CHECKED = "window-checked"
-    UNVERIFIED = "unverified"
-
-
 @dataclass(frozen=True)
 class Certificate:
-    status: CertificateStatus
+    """A claim of maximality: everywhere, or within ``window`` when it is set."""
+
     window: Optional["Window"] = None
 
 
-UNVERIFIED = Certificate(CertificateStatus.UNVERIFIED)
-CERTIFIED_MAXIMAL = Certificate(CertificateStatus.CERTIFIED_MAXIMAL)
+CERTIFIED_MAXIMAL = Certificate()
 
 
 @dataclass(frozen=True)
@@ -325,14 +319,17 @@ _Partner = tuple[int, Point, tuple[int, int]]
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Surface plus generator list, optionally carrying a certificate.
+    """Surface plus generator list, with the claim it makes about its maximality.
 
+    ``certificate`` is None for no claim, ``CERTIFIED_MAXIMAL`` for maximal
+    everywhere, or ``Certificate(window)`` for maximal within the window.
     Construction checks that families instantiate to genuine arcs everywhere
     and that no arc is presented twice, and searches the generator pairs for
-    the first crossing in the same pass.  A triangulation that carries a
-    certificate and crosses raises :class:`CrossingError` with the witness
-    pair.  An uncertified one may cross; :func:`validate_non_crossing`
-    reports that.  Use the builders for certified maximal collections.
+    the first crossing in the same pass.  A triangulation that makes a claim
+    and crosses raises :class:`CrossingError` with the witness pair.  One
+    without a claim may cross; :func:`validate_non_crossing` reports that.
+    A window claim is checked where it enters, by :func:`from_window_set` and
+    :func:`triangulation_from_json`, not here.
 
     Construction also indexes the generators: ``_ends`` maps the circuit key
     of each endpoint of a ``Single`` to ``(generator position, partner,
@@ -344,7 +341,7 @@ class Triangulation:
 
     surface: Surface
     generators: tuple[Generator, ...]
-    certificate: Certificate = UNVERIFIED
+    certificate: Optional[Certificate] = None
     _ends: dict[tuple[int, int], list[_Partner]] = field(init=False, compare=False, repr=False)
     _families: tuple[tuple[int, Family], ...] = field(init=False, compare=False, repr=False)
     _crossing: Optional[tuple[Arc, Arc]] = field(init=False, compare=False, repr=False)
@@ -393,7 +390,7 @@ class Triangulation:
         object.__setattr__(self, "_crossing", crossing)
         # a certificate is a claim, whether a builder or a file makes it: at
         # least check that the arcs it certifies do not cross
-        if crossing is not None and self.certificate.status is not CertificateStatus.UNVERIFIED:
+        if crossing is not None and self.certificate is not None:
             raise CrossingError(*crossing)
 
     def contains(self, arc: Arc) -> bool:
@@ -730,13 +727,20 @@ def window_check(t: Triangulation, w: Window) -> bool:
     return _missed_window_arc(t, w) is None
 
 
-def from_window_set(w: Window, arcs: Iterable[Arc]) -> Triangulation:
-    """Package a maximal window arc set as a window-checked triangulation."""
-    gens = tuple(Single(a) for a in sorted(set(arcs), key=arc_key))
-    t = Triangulation(w.surface, gens, Certificate(CertificateStatus.WINDOW_CHECKED, w))
-    if not window_check(t, w):
-        raise TriangulationError("arc set is not maximal within its window")
+def _window_claim_held(t: Triangulation) -> Triangulation:
+    """t, once the window claim of its certificate holds; else the first window arc missed is named."""
+    missed = _missed_window_arc(t, t.certificate.window)
+    if missed is not None:
+        raise TriangulationError(
+            f"window certificate fails: {format_arc(missed)} is neither in the triangulation nor crossed by it"
+        )
     return t
+
+
+def from_window_set(w: Window, arcs: Iterable[Arc]) -> Triangulation:
+    """Package a maximal window arc set as a triangulation claiming maximality within w."""
+    gens = tuple(Single(a) for a in sorted(set(arcs), key=arc_key))
+    return _window_claim_held(Triangulation(w.surface, gens, Certificate(w)))
 
 
 # --- limits of families ------------------------------------------------------
@@ -977,10 +981,18 @@ def _json_value(value, kind: type, field: str):
     return value
 
 
+def _json_record(value, record: str, keys: tuple[str, ...]) -> dict:
+    """A JSON dict with no key outside ``keys``: a misspelt key is refused, not ignored."""
+    for key in _json_value(value, dict, record):
+        if key not in keys:
+            raise ValueError(f"unknown key {reprlib.repr(key)} in {record} (known: {', '.join(keys)})")
+    return value
+
+
 def _endpoint_from_json(surface: Surface, obj, field: str) -> Endpoint:
     if isinstance(obj, str):
         return parse_point(surface, obj)
-    obj = _json_value(obj, dict, f"family {field}")
+    obj = _json_record(obj, f"family {field}", ("interval", "base", "stride"))
     return Moving(*(_json_value(obj[f], int, f"moving endpoint {f}") for f in ("interval", "base", "stride")))
 
 
@@ -1000,26 +1012,28 @@ def triangulation_to_json(t: Triangulation) -> dict:
                 }
             )
     doc = {"surface": t.surface.describe(), "generators": gens}
-    if t.certificate.status is CertificateStatus.CERTIFIED_MAXIMAL:
+    if t.certificate == CERTIFIED_MAXIMAL:
         doc["certificate"] = "maximal"
-    elif t.certificate.status is CertificateStatus.WINDOW_CHECKED:
+    elif t.certificate is not None:
         doc["certificate"] = {"window": [format_point(p) for p in t.certificate.window.points]}
     return doc
 
 
 def triangulation_from_json(doc: dict) -> Triangulation:
+    if isinstance(doc, dict):  # any other document is refused by its first lookup
+        _json_record(doc, "triangulation document", ("surface", "generators", "certificate"))
     surface = parse_surface(_json_value(doc["surface"], str, "surface"))
     items = _json_value(doc["generators"], list, "generators")
     limits.require(len(items), limits.GENERATOR_LIMIT, limits.GENERATORS)  # before any entry is parsed
     gens: list[Generator] = []
     for item in items:
-        _json_value(item, dict, "generator record")
+        _json_record(item, "generator record", ("single", "family"))
         if "single" in item and "family" in item:
             raise ValueError("generator record holds both 'single' and 'family'")
         if "single" in item:
             gens.append(Single(parse_arc(surface, _json_value(item["single"], str, "single arc"))))
         elif "family" in item:
-            f = _json_value(item["family"], dict, "family record")
+            f = _json_record(item["family"], "family record", ("e0", "e1", "domain"))
             domain = _json_value(f["domain"], list, "family domain")
             if len(domain) != 2:
                 raise ValueError(f"family domain must be [lo, hi], got {reprlib.repr(domain)}")
@@ -1033,23 +1047,19 @@ def triangulation_from_json(doc: dict) -> Triangulation:
             )
         else:
             raise ValueError(f"unknown generator record {item!r}")
-    cert = UNVERIFIED
+    cert = None
     spec = doc.get("certificate")
     if spec == "maximal":
         cert = CERTIFIED_MAXIMAL
-    elif isinstance(spec, dict) and "window" in spec:
+    elif isinstance(spec, dict) and spec:
+        spec = _json_record(spec, "window certificate", ("window",))
         window = _json_value(spec["window"], list, "certificate window")
         limits.require(len(window), limits.WINDOW_POINT_LIMIT, limits.WINDOW_POINTS)
         pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in window)
-        cert = Certificate(CertificateStatus.WINDOW_CHECKED, Window(surface, pts))
+        cert = Certificate(Window(surface, pts))
     elif spec is not None:
         raise ValueError(f'certificate must be "maximal" or {{"window": [...]}}, got {reprlib.repr(spec)}')
     t = Triangulation(surface, tuple(gens), cert)
     # a window certificate is a claim the file makes: check it here, where it
     # enters, and not in the constructor, which every flip also runs
-    missed = None if cert.window is None else _missed_window_arc(t, cert.window)
-    if missed is not None:
-        raise TriangulationError(
-            f"window certificate fails: {format_arc(missed)} is neither in the triangulation nor crossed by it"
-        )
-    return t
+    return t if cert is None or cert.window is None else _window_claim_held(t)

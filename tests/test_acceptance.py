@@ -47,7 +47,7 @@ def test_criterion_7_fountain_behaviour():
 
 
 def test_criterion_8_fan_functorial_finiteness():
-    _check(acceptance.criterion_8_fan_finiteness("desk"), 60)
+    _check(acceptance.criterion_8_fan_finiteness("desk"), 432)
 
 
 def test_criterion_9_limit_arcs():

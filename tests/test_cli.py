@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -174,6 +175,17 @@ def test_json_fields_are_checked_by_shape(tmp_path, capsys):
         ({"surface": "completed:1", "generators": [{"family": {**twice, "e1": {"interval": 3, "base": 0, "stride": 1}}}]},
          "moving endpoint interval 3 out of range"),
         ({"surface": "completed:1", "generators": [{"family": degenerate}]}, "family degenerates at parameter 2"),
+        # a key outside its record's fields is refused at every level, not read past
+        ({"surface": "completed:1", "generators": [single, {"single": "1:1-1:3"}], "certifcate": "maximal"},
+         "unknown key 'certifcate' in triangulation document (known: surface, generators, certificate)"),
+        ({"surface": "completed:1", "generators": [{**single, "note": "x"}]},
+         "unknown key 'note' in generator record (known: single, family)"),
+        ({"surface": "completed:1", "generators": [{"family": {**degenerate, "domian": [0, 1]}}]},
+         "unknown key 'domian' in family record (known: e0, e1, domain)"),
+        ({"surface": "completed:1", "generators": [{"family": {**twice, "e0": {"interval": 1, "base": 0, "strde": 2}}}]},
+         "unknown key 'strde' in family e0 (known: interval, base, stride)"),
+        ({"surface": "completed:1", "generators": [single], "certificate": {"window": ["1:0"], "bound": 3}},
+         "unknown key 'bound' in window certificate (known: window)"),
     )
     for i, (doc, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -534,11 +546,45 @@ def test_render_verb(tmp_path, capsys):
 
 
 def test_render_needs_a_subject(tmp_path, capsys):
+    """render draws exactly one subject: a call with none is refused, and so
+    is a second one next to --triangulation, by its flags, not ignored."""
     out = tmp_path / "pic.svg"
-    code = main(["render", "--out", str(out)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "") and not out.exists()
-    assert captured.err == "error: render needs --triangulation, or --surface with --arcs\n"
+    fountain = ["--triangulation", "fountain(completed:1,1:0)"]
+    both = "render takes --triangulation or --surface with --arcs, not --triangulation with"
+    for argv, message in (
+        ([], "render needs --triangulation, or --surface with --arcs"),
+        ([*fountain, "--surface", "completed:2"], f"{both} --surface"),
+        ([*fountain, "--arcs", "1:0-1:2"], f"{both} --arcs"),
+        ([*fountain, "--arcs"], f"{both} --arcs"),
+        ([*fountain, "--surface", "completed:1", "--arcs", "1:0-1:2"], f"{both} --surface and --arcs"),
+    ):
+        code = main(["render", *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+        assert not out.exists()
+
+
+def test_render_an_arc_list(tmp_path, capsys):
+    """An arc list is drawn once per distinct arc inside the window, with no
+    truncation tick; more distinct arcs than the generator limit are refused."""
+    out = tmp_path / "arcs.svg"
+    arcs = ["1:0-1:2", "1:1-2:5", "a1-a2", "1:0-1:2", "2:40-1:0"]
+    argv = ["render", "--surface", "completed:2", "--arcs", *arcs, "--highlight", "1:1-2:5", "--radius", "4"]
+    assert run_json(capsys, *argv, "--out", str(out)) == (0, {"arcs": 2, "points": 20, "written": str(out)})
+    svg = out.read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == "48fb56de07ac3b3eefe40d108fc94f166cd9bbca511f3cf204f18aa0ad19d94a"
+    assert b'class="trunc"' not in svg and b'class="arc hl"' not in svg
+    out.unlink()
+    for count in (GENERATOR_LIMIT, GENERATOR_LIMIT + 1):
+        many = [f"1:0-1:{i}" for i in range(2, count + 2)]
+        code = main(["render", "--surface", "completed:1", "--arcs", *many, "--radius", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        if count == GENERATOR_LIMIT:
+            assert (code, json.loads(captured.out)["arcs"]) == (0, 1)
+            out.unlink()
+        else:
+            assert (code, captured.out) == (2, "") and not out.exists()
+            assert captured.err == f"error: triangulation has {count} generators, limit is {GENERATOR_LIMIT}\n"
 
 
 def test_render_marks_an_escape_between_uncompleted_intervals(tmp_path, capsys):

@@ -22,7 +22,7 @@ from infgon.mutation import (
 )
 from infgon.surface import Point, Surface, adjacent
 from infgon.triangulation import (
-    CertificateStatus,
+    CERTIFIED_MAXIMAL,
     Family,
     Moving,
     Progression,
@@ -215,7 +215,7 @@ def test_the_endpoint_index_is_invisible():
         assert other == t and other._ends == t._ends and other._families == t._families
         assert [neighbor_scan(other, g.arc, g.arc.a, side) for g in t.generators for side in Side] == scans
     a = t.generators[0].arc
-    smaller = dataclasses.replace(t, generators=t.generators[1:], certificate=triangulation.UNVERIFIED)
+    smaller = dataclasses.replace(t, generators=t.generators[1:], certificate=None)
     assert t.contains(a) and not smaller.contains(a)
     assert sorted(smaller._ends) == sorted({k for g in smaller.generators for k in (g.arc.ka, g.arc.kb)})
     with pytest.raises(TriangulationError, match="not in the triangulation"):
@@ -261,7 +261,7 @@ def test_flip_fountain_and_surgery():
     res = flip(t, a)
     assert res.new_arc == parse_arc(C1, "1:4-1:6")
     nt = res.new_triangulation
-    assert nt.certificate.status is CertificateStatus.CERTIFIED_MAXIMAL
+    assert nt.certificate == CERTIFIED_MAXIMAL
     assert nt.contains(res.new_arc) and not nt.contains(a)
     assert nt.contains(parse_arc(C1, "1:0-1:4")) and nt.contains(parse_arc(C1, "1:0-1:6"))
     assert validate_non_crossing(nt).ok
@@ -446,9 +446,11 @@ def test_merge_ranges_is_the_union(ranges):
 
 
 def test_module_generators_need_certificate():
-    t = Triangulation(C1, (Single(parse_arc(C1, "1:0-1:2")),))
-    with pytest.raises(TriangulationError):
-        right_module_generators(t, parse_arc(C1, "1:0-1:2"))
+    """Only a claim of maximality everywhere will do: no claim, or a window claim, is refused."""
+    w = Window.of_points([C1.point(1, i) for i in range(4)])
+    for t in (Triangulation(C1, (Single(parse_arc(C1, "1:0-1:2")),)), from_window_set(w, window_brute_force(w)[0])):
+        with pytest.raises(TriangulationError, match="^module generators need a certified maximal triangulation$"):
+            right_module_generators(t, parse_arc(C1, "1:0-1:2"))
 
 
 def test_accumulation_base_fountain_mutability():

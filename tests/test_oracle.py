@@ -95,7 +95,7 @@ def test_oracle_path_builds_nothing_twice(monkeypatch):
 
     monkeypatch.setattr(Arc, "__init__", refuse)
     monkeypatch.setattr(homs, "ext_dim", refuse)
-    monkeypatch.setattr(homs, "_segments", refuse)
+    monkeypatch.setattr(homs, "open_interval_segments", refuse)
     monkeypatch.setattr(homs.BoundaryInterval, "runs_on", counted_runs_on)
     monkeypatch.setattr(homs, "sweep_intervals", counted_sweep)
 

@@ -25,7 +25,7 @@ def test_deterministic_bytes():
 
 
 def test_empty_arc_list_draws_boundary_only():
-    svg = render_svg([], RenderSpec(radius=4), surface=C1)
+    svg = render_svg(Triangulation(C1, ()), RenderSpec(radius=4))
     assert svg.count('class="arc"') == 0
     assert 'class="boundary"' in svg
     assert svg.count('class="pt"') == 9

@@ -214,7 +214,6 @@ from typing import Optional
 from infgon.arcs import arc_key, format_arc
 from infgon.triangulation import (
     Certificate,
-    CertificateStatus,
     Family,
     IntRange,
     Moving,
@@ -362,7 +361,7 @@ def test_indexed_scan_matches_the_reference_on_shuffled_window_sets():
         for T in rng.sample(sets, min(len(sets), 40)):
             gens = [Single(g) for g in T]
             rng.shuffle(gens)
-            t = Triangulation(w.surface, tuple(gens), Certificate(CertificateStatus.WINDOW_CHECKED, w))
+            t = Triangulation(w.surface, tuple(gens), Certificate(w))
             scans += _assert_scans_agree(t, arcs, stray)
     assert scans > 8000
 
