@@ -8,12 +8,19 @@ against a family is a question in the family parameter alone: position
 arithmetic for membership, one-variable feasibility per conjunction for
 crossing.  Two families reduce to integer linear feasibility in both
 parameters, decided exactly by :mod:`infgon.affine`.
+
+Maximality within a finite window needs no solver.  The window's m points
+and the m open gaps between them cut the circle into 2m cells, and whether
+an instance crosses a window arc depends only on the cells of its ends.  So
+each generator is placed among the cells once, a moving end cut into one
+parameter range per cell, and every window arc is read off in one sweep.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -171,6 +178,8 @@ class Window:
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
+        if not self.points:
+            raise ValueError("window needs at least one point")
         if len(set(self.points)) != len(self.points):
             raise ValueError("window points must be distinct")
         for p in self.points:
@@ -187,6 +196,7 @@ class Window:
 
     @staticmethod
     def symmetric(surface: Surface, bound: int, include_accumulation: bool = True) -> "Window":
+        Window.symmetric_size(surface, bound, include_accumulation)  # refuses a negative bound
         pts: list[Point] = []
         for k in range(1, surface.intervals + 1):
             pts.extend(Point(surface, k, i) for i in range(-bound, bound + 1))
@@ -196,9 +206,7 @@ class Window:
 
     @staticmethod
     def of_points(points: Sequence[Point]) -> "Window":
-        if not points:
-            raise ValueError("window needs at least one point")
-        return Window(points[0].surface, tuple(points))
+        return Window(points[0].surface if points else None, tuple(points))
 
 
 # --- symbolic encodings ----------------------------------------------------
@@ -714,16 +722,107 @@ def window_brute_force(w: Window) -> list[frozenset[Arc]]:
     return out
 
 
+# a piece of a generator's end: (cell, the parameters putting the end in that cell)
+_Piece = tuple[int, IntRange]
+
+
+def _meeting_cells(xs: list[_Piece], ys: list[_Piece]) -> Iterator[tuple[int, int]]:
+    """The cell pairs of the pieces of two ends whose parameter ranges meet.
+
+    The ranges of one end are disjoint and ascending, so one merge walk finds
+    every meeting pair: the range that ends first can meet nothing further.
+    """
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (c, r), (d, s) = xs[i], ys[j]
+        if not r.intersect(s).is_empty:
+            yield c, d
+        if s.hi is not None and (r.hi is None or s.hi < r.hi):
+            j += 1
+        else:
+            i += 1
+
+
+def _cell_partners(t: Triangulation, keys: Sequence[tuple[int, int]]) -> list[int]:
+    """For each cell of the window with ascending circuit keys ``keys``, the
+    bitmask of the cells holding the other end of an instance of t with one
+    end in it.
+
+    Cell 2r is window point r and cell 2r + 1 the open gap after it; the last
+    gap wraps round to before point 0.
+    """
+    cells = 2 * len(keys)
+    # per interval slot: (the index of its first window point, the window's positions on it)
+    runs: dict[int, tuple[int, list[int]]] = {}
+    for r, (slot, pos) in enumerate(keys):
+        runs.setdefault(slot, (r, []))[1].append(pos)
+
+    def cell_of(k: tuple[int, int]) -> int:
+        r = bisect_left(keys, k)
+        return 2 * r if r < len(keys) and keys[r] == k else (2 * r - 1) % cells
+
+    def pieces(e: Endpoint, domain: IntRange) -> list[_Piece]:
+        """The pieces of end e over ``domain`` in ascending parameter order: a
+        moving end is cut at the window's positions on its interval."""
+        if not isinstance(e, Moving):
+            return [(cell_of(e.circuit_key()), domain)]
+        slot = 2 * e.interval - 1
+        first, positions = runs[slot] if slot in runs else (bisect_left(keys, (slot,)), ())
+        bounds, cell, lo = [], (2 * first - 1) % cells, None
+        for r, q in enumerate(positions, first):
+            bounds += ((cell, lo, q - 1), (2 * r, q, q))
+            cell, lo = 2 * r + 1, q + 1
+        bounds.append((cell, lo, None))
+        out = [(c, domain.intersect(e.params_with_pos_in(lo, hi))) for c, lo, hi in bounds]
+        out = [(c, params) for c, params in out if not params.is_empty]
+        return out if e.stride > 0 else out[::-1]
+
+    partners = [0] * cells
+    for gen in t.generators:
+        if isinstance(gen, Single):
+            ends = ([(cell_of(gen.arc.ka), FULL_RANGE)], [(cell_of(gen.arc.kb), FULL_RANGE)])
+        else:
+            ends = (pieces(gen.e0, gen.domain), pieces(gen.e1, gen.domain))
+        for c, d in _meeting_cells(*ends):
+            partners[c] |= 1 << d
+            partners[d] |= 1 << c
+    return partners
+
+
 def _missed_window_arc(t: Triangulation, w: Window) -> Optional[Arc]:
-    """The first window arc that is neither in t nor crossed by an instance of t."""
-    for arc in window_arcs(w):
-        if not t.contains(arc) and arc_crossing_in(t, arc) is None:
-            return arc
+    """The first window arc, in :func:`window_arcs` order, that is neither in t
+    nor crossed by an instance of t.
+
+    Whether an instance crosses a window arc depends only on the cells of its
+    ends, so each generator is placed among the cells once.  Window arc
+    (i, j) is then in t when cell 2j is a partner of cell 2i, and crossed
+    when a cell strictly between 2i and 2j has a partner strictly outside
+    [2i, 2j]: the partners of the cells between grow with j.
+    """
+    if w.surface is not t.surface and window_arcs(w):
+        raise MixedSurfaceError("window on the wrong surface")
+    pts = w.points
+    keys = [p.circuit_key() for p in pts]
+    partners = _cell_partners(t, keys)
+    for i in range(len(pts)):
+        before = (1 << 2 * i) - 1
+        inside = 0  # the partners of the cells strictly between 2i and 2j
+        for j in range(i + 1, len(pts)):
+            inside |= partners[2 * j - 1]
+            # Arc refuses two points one apart on one interval, which are consecutive in the window
+            adjacent = j == i + 1 and keys[j][0] == keys[i][0] and keys[j][1] - keys[i][1] == 1
+            if not adjacent and not partners[2 * i] >> 2 * j & 1 and not (inside >> 2 * j + 1 or inside & before):
+                return Arc(pts[i], pts[j])
+            inside |= partners[2 * j]
     return None
 
 
 def window_check(t: Triangulation, w: Window) -> bool:
-    """Local maximality: every window arc is in t or crosses an instance of t."""
+    """Local maximality: every window arc is in t or crosses an instance of t.
+
+    Decided without the solver, in one sweep over the window's points and
+    the open gaps between them (see :func:`_missed_window_arc`).
+    """
     return _missed_window_arc(t, w) is None
 
 

@@ -164,6 +164,8 @@ def test_json_fields_are_checked_by_shape(tmp_path, capsys):
         ({"surface": "completed:1", "generators": [single], "certificate": "bogus"}, "certificate must be \"maximal\""),
         ({"surface": "completed:1", "generators": [single], "certificate": {"window": "1:0"}},
          "certificate window must be a JSON list, got '1:0'"),
+        ({"surface": "completed:1", "generators": [single], "certificate": {"window": []}},
+         "window needs at least one point"),
         (_family_doc(0, [0, None, 3]), "family domain must be [lo, hi], got [0, None, 3]"),
         ({"surface": "completed:1", "generators": [{**single, "family": _family_doc(0, [0, None])["generators"][0]["family"]}]},
          "generator record holds both 'single' and 'family'"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -42,7 +43,7 @@ from infgon.triangulation import (
     window_brute_force,
     window_check,
 )
-from infgon.triangulation import _polygon_diagonal_sets
+from infgon.triangulation import _missed_window_arc, _polygon_diagonal_sets
 
 C1 = Surface(True, 1)
 C2 = Surface(True, 2)
@@ -216,6 +217,16 @@ def test_window_brute_force_shares_its_arcs():
     assert [list(T) for T in sets] == [list(T) for T in reference]
 
 
+def test_a_window_needs_a_point_and_a_bound():
+    for surface, bound in ((Surface(False, 1), -1), (C1, -2)):
+        with pytest.raises(ValueError, match=f"^window bound {bound} is negative$"):
+            Window.symmetric(surface, bound)
+    for build in (lambda: Window(C1, ()), lambda: Window.of_points([])):
+        with pytest.raises(ValueError, match="^window needs at least one point$"):
+            build()
+    assert Window.symmetric(C1, 0).points == (C1.point(1, 0), C1.accumulation(1))
+
+
 def test_window_check_and_from_window_set():
     w = Window.of_points([C1.point(1, i) for i in range(5)])
     sets = window_brute_force(w)
@@ -387,6 +398,76 @@ def test_right_scan_is_reversed_left_scan():
                 assert right.empty == left.empty
                 scans += 1
     assert scans > 3000
+
+
+def _missed_by_each_arc(t, w):
+    """Reference: the first window arc that t neither holds nor crosses, one solver query per arc and generator."""
+    return next((a for a in window_arcs(w) if not t.contains(a) and arc_crossing_in(t, a) is None), None)
+
+
+def _random_endpoint(rng, s, moving):
+    k = rng.randint(1, s.intervals)
+    if moving:
+        return Moving(k, rng.randint(-6, 6), rng.choice((-1, 1)) * rng.randint(1, 5))
+    if s.completed and rng.random() < 0.25:
+        return s.accumulation(k)
+    return s.point(k, rng.randint(-7, 7))
+
+
+def _random_generator(rng, s):
+    if rng.random() < 0.3:
+        return Single(Arc(_random_endpoint(rng, s, False), _random_endpoint(rng, s, False)))
+    moving = rng.choice(((True, False), (False, True), (True, True)))
+    lo, hi = rng.randint(-4, 2), rng.randint(2, 8)
+    domain = rng.choice((IntRange(lo, hi), IntRange(lo, None), IntRange(None, hi), IntRange(None, None)))
+    return Family(*(_random_endpoint(rng, s, m) for m in moving), domain)
+
+
+def _random_triangulation(rng, s):
+    """An uncertified triangulation of one to four generators, which may
+    cross, or a fountain with at most one generator dropped."""
+    if s.completed and rng.random() < 0.25:
+        gens = build_fountain(s, _random_endpoint(rng, s, False)).generators
+        drop = rng.randrange(len(gens) + 1)
+        return Triangulation(s, gens[:drop] + gens[drop + 1:])
+    while True:
+        try:
+            return Triangulation(s, tuple(_random_generator(rng, s) for _ in range(rng.randint(1, 4))))
+        except ValueError:  # a degenerate family, a duplicate or adjacent single ends: draw again
+            continue
+
+
+def _random_window(rng, s):
+    """A symmetric window, or points scattered near the bases, far beyond
+    them (10^6 out), or on one interval only."""
+    if rng.random() < 0.3:
+        return Window.symmetric(s, rng.randint(0, 2))
+    intervals = [rng.randint(1, s.intervals)] if rng.random() < 0.3 else range(1, s.intervals + 1)
+    pool = [s.point(k, pos) for k in intervals for pos in (*range(-9, 10), -10**6, 10**6)]
+    pool += [s.accumulation(k) for k in intervals if s.completed]
+    return Window.of_points(rng.sample(pool, rng.randint(1, 9)))
+
+
+def test_window_sweep_matches_each_arc_queried_alone():
+    """The cell sweep names the same first missed window arc as one query per
+    window arc and generator, on crossing and non-crossing generator sets,
+    and on a 96-point window of the completed:3 fountain."""
+    rng = random.Random(24)
+    surfaces = [Surface(completed, n) for completed in (True, False) for n in (1, 2, 3)]
+    missed = 0
+    for _ in range(1000):
+        s = rng.choice(surfaces)
+        t, w = _random_triangulation(rng, s), _random_window(rng, s)
+        got = _missed_window_arc(t, w)
+        assert got == _missed_by_each_arc(t, w), (t, w)
+        missed += got is not None
+    assert 200 < missed < 900
+    c3 = Surface(True, 3)
+    fountain, w = build_fountain(c3, c3.point(2, 1)), Window.symmetric(c3, 15)
+    assert len(w.points) == 96
+    assert _missed_window_arc(fountain, w) is None
+    dropped = Triangulation(c3, fountain.generators[:3] + fountain.generators[4:])
+    assert _missed_window_arc(dropped, w) == _missed_by_each_arc(dropped, w) is not None
 
 
 def test_window_check_rejects_another_surface():
