@@ -339,11 +339,10 @@ def criterion_7_fountain_behaviour(level: str = "desk"):
     return checked, failures
 
 
-def _verify_generation(t: Triangulation, g: Arc, gens: list[Arc], bound: int) -> str | None:
-    """Check every window-visible incoming arc factors through a generator."""
-    window = Window.symmetric(t.surface, bound)
+def _verify_generation(visible: frozenset[Arc], g: Arc, gens: list[Arc]) -> str | None:
+    """Check every ``visible`` arc with a morphism to g[1] factors through a generator."""
     sg = shift_arc(g, 1)
-    support = [b for b in t.arcs_in_window(window) if hom_dim(b, sg) == 1]
+    support = [b for b in visible if hom_dim(b, sg) == 1]
     for beta in support:
         if beta in gens:
             continue
@@ -375,13 +374,14 @@ def criterion_8_fan_finiteness(level: str = "desk"):
     queries = window_arcs(Window.symmetric(s1, 10))
     for base in (Point(s1, 1, 0), Point(s1, 1, None)):
         t = build_fountain(s1, base)
+        visible = t.arcs_in_window(Window.symmetric(s1, 12))
         for g in queries:
             checked += 1
             gens = right_module_generators(t, g)
             if isinstance(gens, NotFinitelyGenerated):
                 failures.append(f"fountain query {format_arc(g)} reported not finitely generated")
                 continue
-            err = _verify_generation(t, g, gens, 12)
+            err = _verify_generation(visible, g, gens)
             if err:
                 failures.append(err)
     z = canonical_zigzag(s1)

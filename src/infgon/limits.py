@@ -14,13 +14,14 @@ class ResourceLimitError(RuntimeError):
     pass
 
 
-# brute force enumerates every triangulation of the window polygon, and their
-# number grows with the Catalan numbers of the point count
+# enumeration: brute force lists every triangulation of the window polygon,
+# and their number grows with the Catalan numbers of the point count
 WINDOW_POINT_LIMIT = 12
 WINDOW_POINTS = "window has {value} points, limit is {limit}"
-# every generator pair is checked with the solver, for duplicates and crossings
-# in one pass, so load time grows with the square of the count: a fountain of
-# 199 generators (completed:99) takes 0.2-0.35 s to load, certified or not
+# every generator pair is checked for duplicates and crossings in one pass
+# (only a pair of families goes to the two-variable solver), so load time
+# grows with the square of the count: a fountain of 199 generators
+# (completed:99) takes 0.2-0.35 s to load, certified or not
 GENERATOR_LIMIT = 200
 GENERATORS = "triangulation has {value} generators, limit is {limit}"
 # the solver's splinter search loops up to a family's stride, so load time
@@ -31,8 +32,9 @@ STRIDE = "family stride {value} exceeds the limit {limit}"
 # most arcs listed from one support run of a family with no fixed endpoint
 FAN_WIDTH_LIMIT = 5000
 SUPPORT_RUN = "support run has {value} arcs, limit is {limit}"
-# most window points drawn, whatever the radius and surface: 606 are those of
-# radius 100 on completed:3, under 2 px apart
+# placement: most points of a window that a triangulation is placed among,
+# whether drawn or named by a file's window certificate; 606 are those of
+# radius 100 on completed:3, under 2 px apart when drawn
 POINT_LIMIT = 606
 RENDER_POINTS = "render window has {value} points, limit is {limit}"
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import limits
 from .arcs import Arc, arc_key
 from .surface import Point
-from .triangulation import Family, Triangulation, Window, _escape, visible_params
+from .triangulation import Family, Triangulation, Window, _escape
 
 SIZE = 420  # width and height of the picture, in pixels
 
@@ -84,21 +84,21 @@ class _Layout:
         return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
 
 
-def _truncation_gaps(t: Triangulation, window: Window) -> list[int]:
-    """Gaps whose direction hides part of a family beyond the window."""
+def _truncation_gaps(t: Triangulation, radius: int) -> list[int]:
+    """Gaps whose direction hides part of a family beyond the window of ``radius``.
+
+    A family's tail toward an end of its domain is hidden when the domain is
+    unbounded that way, or when the instance at its last parameter that way
+    has a moving end beyond +/- radius: each moving end is monotone, so the
+    instances that fit the window form one run of parameters.
+    """
     gaps: set[int] = set()
     n = t.surface.intervals
     for gen in t.generators:
         if not isinstance(gen, Family):
             continue
-        visible = visible_params(gen, window)
-        for end in (1, -1):
-            beyond = (
-                visible.is_empty
-                or (end > 0 and (gen.domain.hi is None or (visible.hi is not None and visible.hi < gen.domain.hi)))
-                or (end < 0 and (gen.domain.lo is None or (visible.lo is not None and visible.lo > gen.domain.lo)))
-            )
-            if beyond:
+        for end, last in ((1, gen.domain.hi), (-1, gen.domain.lo)):
+            if last is None or any(abs(m.pos_at(last)) > radius for m in gen.moving_endpoints):
                 gaps.update(_escape(m, end, n)[0] for m in gen.moving_endpoints)
     return sorted(gaps)
 
@@ -113,7 +113,7 @@ def render_svg(t: Triangulation, spec: RenderSpec) -> str:
     limits.require(Window.symmetric_size(t.surface, spec.radius), limits.POINT_LIMIT, limits.RENDER_POINTS)
     window = Window.symmetric(t.surface, spec.radius)
     arcs = sorted(t.arcs_in_window(window), key=arc_key)
-    trunc_gaps = _truncation_gaps(t, window)
+    trunc_gaps = _truncation_gaps(t, spec.radius)
 
     lay = _Layout(window)
     hl = set(spec.highlight)

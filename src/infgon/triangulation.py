@@ -9,11 +9,12 @@ arithmetic for membership, one-variable feasibility per conjunction for
 crossing.  Two families reduce to integer linear feasibility in both
 parameters, decided exactly by :mod:`infgon.affine`.
 
-Maximality within a finite window needs no solver.  The window's m points
-and the m open gaps between them cut the circle into 2m cells, and whether
-an instance crosses a window arc depends only on the cells of its ends.  So
+A finite window needs no solver.  The window's m points and the m open
+gaps between them cut the circle into 2m cells, and whether an instance is
+a window arc, or crosses one, depends only on the cells of its ends.  So
 each generator is placed among the cells once, a moving end cut into one
-parameter range per cell, and every window arc is read off in one sweep.
+parameter range per cell it reaches, and the window's arcs and its
+maximality are both read off that placement.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Moving:
         if hi is not None:
             ineqs.append((-self.stride, hi - self.base))
         r = solve_1var_range(ineqs)
-        return r if r is not None else IntRange(0, -1)
+        return r if r is not None else EMPTY_RANGE
 
 
 Endpoint = Union[Point, Moving]
@@ -411,44 +412,21 @@ class Triangulation:
     def arcs_in_window(self, window: Window) -> frozenset[Arc]:
         """The instances with both endpoints among the window's points.
 
-        A family is read off the window's regular points on the interval of
-        its first moving end, one parameter per point, so the work is bounded
-        by the window's size times the generator count, however far apart
-        the points lie.
+        Read off the window's cell placement (see :func:`_cell_partners`): an
+        instance joins window points i < j exactly when cell 2j is a partner
+        of cell 2i.  The work follows the generators' instances near the
+        window, however far apart its points lie.
         """
+        pts = window.points
         out: set[Arc] = set()
-        pts = set(window.points)
-        positions: dict[int, set[int]] = {}
-        for p in window.points:
-            if p.pos is not None:
-                positions.setdefault(p.interval, set()).add(p.pos)
-        for gen in self.generators:
-            if isinstance(gen, Single):
-                if gen.arc.a in pts and gen.arc.b in pts:
-                    out.add(gen.arc)
-                continue
-            walk, other = (gen.e0, gen.e1) if isinstance(gen.e0, Moving) else (gen.e1, gen.e0)
-            others = positions.get(other.interval, ()) if isinstance(other, Moving) else None
-            if others is None and other not in pts:
-                continue
-            for pos in positions.get(walk.interval, ()):
-                t = walk.param_for_pos(pos)
-                if t is not None and gen.domain.contains(t) and (others is None or other.pos_at(t) in others):
-                    out.add(gen.arc_at(self.surface, t))
+        for i, mask in enumerate(_cell_partners(self, window)[::2]):
+            mask >>= 2 * i + 2  # bit 2k: point i + 1 + k; odd bits are gaps
+            while mask:
+                c = mask.bit_length() - 1
+                mask ^= 1 << c
+                if not c & 1:
+                    out.add(Arc(pts[i], pts[i + 1 + c // 2]))
         return frozenset(out)
-
-
-def visible_params(fam: Family, window: Window) -> IntRange:
-    """Parameters at which every moving endpoint of ``fam`` lies within the
-    window's position span on its interval; fixed endpoints are not checked.
-    A family has a moving endpoint, so the range is empty or bounded."""
-    params = fam.domain
-    for e in fam.moving_endpoints:
-        positions = [p.pos for p in window.points if p.interval == e.interval and p.pos is not None]
-        if not positions:
-            return EMPTY_RANGE
-        params = params.intersect(e.params_with_pos_in(min(positions), max(positions)))
-    return params
 
 
 def family_param_of(fam: Family, arc: Arc) -> Optional[int]:
@@ -566,22 +544,16 @@ def _pair_leapfrog(surface: Surface, alpha: Family, beta: Family) -> Optional[Le
     align = _chain_alignment(alpha, beta)
     if align is None:
         return None
-    x, y, c = align
-    # valid chain indices t: alpha at t and t+1, beta at t+c
-    ray = alpha.domain
-    ray = ray.intersect(IntRange(None if alpha.domain.lo is None else alpha.domain.lo - 1,
-                                 None if alpha.domain.hi is None else alpha.domain.hi - 1))
-    ray = ray.intersect(IntRange(None if beta.domain.lo is None else beta.domain.lo - c,
-                                 None if beta.domain.hi is None else beta.domain.hi - c))
-    if ray.is_empty:
-        return None
+    x, _, c = align
     tip_a = (alpha.e0, alpha.e1)[x]
     tip_b = (alpha.e0, alpha.e1)[1 - x]
     n = surface.intervals
+    # the chain (alpha at t and t + 1, beta at t + c) runs on without end in a
+    # direction exactly when both domains are unbounded that way
     directions = []
-    if ray.hi is None:
+    if alpha.domain.hi is None and beta.domain.hi is None:
         directions.append(1)
-    if ray.lo is None:
+    if alpha.domain.lo is None and beta.domain.lo is None:
         directions.append(-1)
     for direction in directions:
         esc_a = _escape(tip_a, direction, n)
@@ -743,19 +715,20 @@ def _meeting_cells(xs: list[_Piece], ys: list[_Piece]) -> Iterator[tuple[int, in
             i += 1
 
 
-def _cell_partners(t: Triangulation, keys: Sequence[tuple[int, int]]) -> list[int]:
-    """For each cell of the window with ascending circuit keys ``keys``, the
-    bitmask of the cells holding the other end of an instance of t with one
-    end in it.
+def _cell_partners(t: Triangulation, w: Window) -> list[int]:
+    """For each cell of window w, the bitmask of the cells holding the other
+    end of an instance of t with one end in it.
 
     Cell 2r is window point r and cell 2r + 1 the open gap after it; the last
-    gap wraps round to before point 0.
+    gap wraps round to before point 0.  A moving end is cut only at the
+    window positions within its own span, so the work follows the instances
+    near the window rather than the window's size.  This is the one place
+    where generators are placed relative to window points.
     """
+    if w.surface is not t.surface:
+        raise MixedSurfaceError("window on the wrong surface")
+    keys = [p.circuit_key() for p in w.points]
     cells = 2 * len(keys)
-    # per interval slot: (the index of its first window point, the window's positions on it)
-    runs: dict[int, tuple[int, list[int]]] = {}
-    for r, (slot, pos) in enumerate(keys):
-        runs.setdefault(slot, (r, []))[1].append(pos)
 
     def cell_of(k: tuple[int, int]) -> int:
         r = bisect_left(keys, k)
@@ -763,13 +736,15 @@ def _cell_partners(t: Triangulation, keys: Sequence[tuple[int, int]]) -> list[in
 
     def pieces(e: Endpoint, domain: IntRange) -> list[_Piece]:
         """The pieces of end e over ``domain`` in ascending parameter order: a
-        moving end is cut at the window's positions on its interval."""
+        moving end is cut at the window's positions within its span."""
         if not isinstance(e, Moving):
             return [(cell_of(e.circuit_key()), domain)]
-        slot = 2 * e.interval - 1
-        first, positions = runs[slot] if slot in runs else (bisect_left(keys, (slot,)), ())
+        slot, span = 2 * e.interval - 1, e.position_range(domain)
+        first = bisect_left(keys, (slot,) if span.lo is None else (slot, span.lo))
+        stop = bisect_left(keys, (slot + 1,) if span.hi is None else (slot, span.hi + 1))
         bounds, cell, lo = [], (2 * first - 1) % cells, None
-        for r, q in enumerate(positions, first):
+        for r in range(first, stop):
+            q = keys[r][1]
             bounds += ((cell, lo, q - 1), (2 * r, q, q))
             cell, lo = 2 * r + 1, q + 1
         bounds.append((cell, lo, None))
@@ -799,11 +774,9 @@ def _missed_window_arc(t: Triangulation, w: Window) -> Optional[Arc]:
     when a cell strictly between 2i and 2j has a partner strictly outside
     [2i, 2j]: the partners of the cells between grow with j.
     """
-    if w.surface is not t.surface and window_arcs(w):
-        raise MixedSurfaceError("window on the wrong surface")
+    partners = _cell_partners(t, w)
     pts = w.points
     keys = [p.circuit_key() for p in pts]
-    partners = _cell_partners(t, keys)
     for i in range(len(pts)):
         before = (1 << 2 * i) - 1
         inside = 0  # the partners of the cells strictly between 2i and 2j
@@ -1153,7 +1126,7 @@ def triangulation_from_json(doc: dict) -> Triangulation:
     elif isinstance(spec, dict) and spec:
         spec = _json_record(spec, "window certificate", ("window",))
         window = _json_value(spec["window"], list, "certificate window")
-        limits.require(len(window), limits.WINDOW_POINT_LIMIT, limits.WINDOW_POINTS)
+        limits.require(len(window), limits.POINT_LIMIT, limits.WINDOW_POINTS)
         pts = tuple(parse_point(surface, _json_value(s, str, "window point")) for s in window)
         cert = Certificate(Window(surface, pts))
     elif spec is not None:

@@ -308,14 +308,16 @@ def _window_doc(surface, bound, arcs) -> dict:
 
 def test_window_certificates_are_checked_on_load(tmp_path, capsys):
     """A file's window certificate must hold: each window arc is in the
-    triangulation or crosses one of its arcs.  The first arc that is neither is named."""
+    triangulation or crosses one of its arcs.  The first arc that is neither is
+    named.  A window is bounded by the placement limit, not by brute force's."""
     c1 = Surface(True, 1)
     full = next(T for T in window_brute_force(Window.symmetric(c1, 2)) if parse_arc(c1, "1:1-a1") in T)
     dropped = full - {parse_arc(c1, "1:2-a1")}
     cases = (
         (_window_doc(c1, 1, ()), "window certificate fails: 1:-1-1:1 is neither in the triangulation nor crossed by it"),
         (_window_doc(c1, 2, dropped), "window certificate fails: 1:2-a1 is neither"),
-        (_window_doc(Surface(True, 2), 3, ()), "window has 16 points, limit is 12"),
+        (_window_doc(Surface(True, 2), 3, ()), "window certificate fails: 1:-3-1:-1 is neither"),
+        (_window_doc(Surface(True, 3), 101, ()), f"window has 612 points, limit is {POINT_LIMIT}"),
     )
     for i, (doc, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import arcs_on
+from infgon.affine import EMPTY_RANGE
 from infgon.arcs import Arc, cross_transverse, format_arc
 from infgon.surface import Point, Surface
 from infgon.triangulation import (
@@ -23,10 +24,10 @@ from infgon.triangulation import (
     duplicate_witness,
     family_param_of,
     validate_non_crossing,
-    visible_params,
     window_arcs,
 )
-from infgon.triangulation import _invalid_family_param
+from infgon.render import _truncation_gaps
+from infgon.triangulation import _escape, _invalid_family_param
 
 
 @st.composite
@@ -241,22 +242,63 @@ def families_with_any_domain(draw, surface: Surface):
     return Family(fam.e0, fam.e1, domain)
 
 
+def _visible_params(fam: Family, window: Window) -> IntRange:
+    """Reference: the parameters at which every moving end of ``fam`` lies
+    within the window's position span on its interval."""
+    params = fam.domain
+    for e in fam.moving_endpoints:
+        positions = [p.pos for p in window.points if p.interval == e.interval and p.pos is not None]
+        if not positions:
+            return EMPTY_RANGE
+        params = params.intersect(e.params_with_pos_in(min(positions), max(positions)))
+    return params
+
+
+def _truncation_gaps_by_visible_params(t: Triangulation, window: Window) -> list[int]:
+    """Reference: a family's tail is hidden toward an end when its visible
+    parameters are empty or stop short of its domain that way."""
+    gaps: set[int] = set()
+    for gen in t.generators:
+        if not isinstance(gen, Family):
+            continue
+        visible = _visible_params(gen, window)
+        for end in (1, -1):
+            beyond = (
+                visible.is_empty
+                or (end > 0 and (gen.domain.hi is None or (visible.hi is not None and visible.hi < gen.domain.hi)))
+                or (end < 0 and (gen.domain.lo is None or (visible.lo is not None and visible.lo > gen.domain.lo)))
+            )
+            if beyond:
+                gaps.update(_escape(m, end, t.surface.intervals)[0] for m in gen.moving_endpoints)
+    return sorted(gaps)
+
+
 @given(st.data())
-@settings(max_examples=250)
-def test_visible_params_are_bounded(data):
-    """Every family has a moving end, and a window has finitely many
-    positions, so the visible parameters are empty or bounded, whatever the domain."""
-    surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 3)]))
-    fam = data.draw(families_with_any_domain(surface))
-    pts = Window.symmetric(surface, data.draw(st.integers(0, 4))).points
-    window = Window.of_points(data.draw(st.lists(st.sampled_from(pts), min_size=1, unique=True)))
-    params = visible_params(fam, window)
-    assert params.is_empty or params.is_bounded
+@settings(max_examples=300)
+def test_truncation_gaps_match_the_visible_parameters(data):
+    """Reading the instance at each end of a family's domain finds the same
+    hidden tails as cutting the domain to the window's positions."""
+    surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 2), Surface(False, 3)]))
+    gens = tuple(data.draw(families_with_any_domain(surface)) for _ in range(data.draw(st.integers(1, 3))))
+    try:
+        t = Triangulation(surface, gens)
+    except TriangulationError:
+        assume(False)
+    radius = data.draw(st.integers(2, 7))
+    assert _truncation_gaps(t, radius) == _truncation_gaps_by_visible_params(t, Window.symmetric(surface, radius))
 
 
-def counting_arc_at():
-    """``Family.arc_at``, patched to count its calls inside a ``with`` block."""
-    return mock.patch.object(Family, "arc_at", autospec=True, side_effect=Family.arc_at)
+def counting_placement():
+    """``Moving.params_with_pos_in``, the unit of work of placing a moving
+    end among window points, patched to count its calls inside a ``with`` block."""
+    return mock.patch.object(Moving, "params_with_pos_in", autospec=True, side_effect=Moving.params_with_pos_in)
+
+
+def placement_bound(window: Window, gens) -> int:
+    """Most ``params_with_pos_in`` calls placing ``gens``: each moving end is
+    cut at most at every window point, into at most 2m + 1 pieces."""
+    moving = sum(len(g.moving_endpoints) for g in gens if isinstance(g, Family))
+    return moving * (2 * len(window.points) + 1)
 
 
 def far_window(data, surface: Surface, near: list[Point]) -> Window:
@@ -273,7 +315,7 @@ def far_window(data, surface: Surface, near: list[Point]) -> Window:
 @settings(max_examples=200)
 def test_arcs_in_window_matches_brute_force_on_far_windows(data):
     """The window's arcs are the materialized instances with both ends in it,
-    and at most one instance is built per window point and generator."""
+    placed with work bounded by the window's point count, not its span."""
     surface = data.draw(st.sampled_from([Surface(True, 1), Surface(True, 2), Surface(False, 2)]))
     gens = tuple(data.draw(bounded_families(surface, singles=True)) for _ in range(data.draw(st.integers(1, 3))))
     try:
@@ -283,10 +325,10 @@ def test_arcs_in_window_matches_brute_force_on_far_windows(data):
     arcs = [a for g in gens for a in materialize(surface, g)]
     window = far_window(data, surface, [p for a in arcs for p in a.endpoints])
     pts = set(window.points)
-    with counting_arc_at() as arc_at:
+    with counting_placement() as placed:
         got = t.arcs_in_window(window)
     assert got == {a for a in arcs if a.a in pts and a.b in pts}
-    assert arc_at.call_count <= len(window.points) * len(gens)
+    assert placed.call_count <= placement_bound(window, gens)
 
 
 @given(st.data())
@@ -309,17 +351,18 @@ def test_arcs_in_window_of_unbounded_families_matches_membership(data):
             continue
         if family_param_of(fam, arc) is not None:
             expected.add(arc)
-    with counting_arc_at() as arc_at:
+    with counting_placement() as placed:
         got = t.arcs_in_window(window)
     assert got == expected
-    assert arc_at.call_count <= len(window.points)
+    assert placed.call_count <= placement_bound(window, (fam,))
 
 
 def test_arcs_in_window_is_bounded_by_its_points_not_its_span():
     s = Surface(True, 1)
     t = build_fountain(s, s.point(1, 0))
     window = Window.of_points([s.point(1, 0), s.point(1, 5), s.point(1, 10**6)])
-    with counting_arc_at() as arc_at:
+    with counting_placement() as placed:
         got = t.arcs_in_window(window)
     assert sorted(map(format_arc, got)) == ["1:0-1:1000000", "1:0-1:5"]
-    assert arc_at.call_count == 2 <= len(window.points) * len(t.generators)
+    # the upward family is cut at 1:5 and 1:1000000, the downward one at no point
+    assert placed.call_count == 5 + 1 <= placement_bound(window, t.generators)

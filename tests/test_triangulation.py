@@ -471,12 +471,18 @@ def test_window_sweep_matches_each_arc_queried_alone():
 
 
 def test_window_check_rejects_another_surface():
-    w = Window.symmetric(C2, 1)
+    """A window on another surface is refused, even one without a window arc:
+    a single point, or two adjacent points."""
+    windows = (Window.symmetric(C2, 1), Window.of_points([C2.point(1, 0)]),
+               Window.of_points([C2.point(1, 0), C2.point(1, 1)]))
     arc = parse_arc(C2, "1:0-2:0")
     # the fountain has Single generators, the zigzag only families
     for t in (fountain1(), canonical_zigzag(C1)):
-        with pytest.raises(MixedSurfaceError):
-            window_check(t, w)
+        for w in windows:
+            with pytest.raises(MixedSurfaceError):
+                window_check(t, w)
+            with pytest.raises(MixedSurfaceError):
+                t.arcs_in_window(w)
         with pytest.raises(MixedSurfaceError):
             arc_crossing_in(t, arc)
 
