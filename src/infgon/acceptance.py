@@ -29,7 +29,6 @@ from .homs import (
 )
 from .mutation import (
     NotFinitelyGenerated,
-    _remove_arc,
     approximate,
     flip,
     is_mutable,
@@ -46,6 +45,7 @@ from .triangulation import (
     Single,
     Triangulation,
     Window,
+    _remove_arc,
     arc_crossing_in,
     build_fountain,
     canonical_zigzag,

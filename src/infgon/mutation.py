@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from . import limits
 from .affine import IntRange
-from .arcs import Arc, arc_key, format_arc
+from .arcs import Arc, arc_key
 from .homs import ExtCase, exchange_triangles, ext_case, hom_dim
 from .surface import MixedSurfaceError, Point, step
 from .triangulation import (
@@ -26,8 +26,8 @@ from .triangulation import (
     Single,
     Triangulation,
     TriangulationError,
+    _replace_arc,
     ext_param_ranges,
-    family_param_of,
     limit_of_family,
     neighbor_scan,
 )
@@ -154,34 +154,6 @@ class MutationResult:
     conflations: tuple[Conflation, Conflation]
 
 
-def _remove_arc(t: Triangulation, a: Arc) -> tuple:
-    out = []
-    removed = False
-    for gen in t.generators:
-        if isinstance(gen, Single):
-            if gen.arc == a:
-                removed = True
-                continue
-            out.append(gen)
-            continue
-        tpar = family_param_of(gen, a)
-        if tpar is None:
-            out.append(gen)
-            continue
-        removed = True
-        lo, hi = gen.domain.lo, gen.domain.hi
-        for part in (IntRange(lo, tpar - 1), IntRange(tpar + 1, hi)):
-            if part.is_empty:
-                continue
-            if part.is_bounded and part.lo == part.hi:
-                out.append(Single(gen.arc_at(t.surface, part.lo)))
-            else:
-                out.append(Family(gen.e0, gen.e1, part))
-    if not removed:
-        raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
-    return tuple(out)
-
-
 def flip(t: Triangulation, a: Arc) -> MutationResult:
     """Replace a mutable arc by the other diagonal of its quadrilateral."""
     ok, reason, frame = mutability_report(t, a)
@@ -190,8 +162,7 @@ def flip(t: Triangulation, a: Arc) -> MutationResult:
         witness = next((s for s in frame.scans if not s.empty and s.extremum is None), frame)
         raise MutabilityError(reason, witness)
     new_arc = Arc(frame.u_right, frame.v_right)
-    gens = _remove_arc(t, a) + (Single(new_arc),)
-    new_t = Triangulation(t.surface, gens, t.certificate)
+    new_t = _replace_arc(t, a, new_arc)
     sides = exchange_triangles(a, new_arc)
     conflations = (
         Conflation(a, sides.beta, new_arc),

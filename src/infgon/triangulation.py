@@ -338,7 +338,9 @@ class Triangulation:
     and crosses raises :class:`CrossingError` with the witness pair.  One
     without a claim may cross; :func:`validate_non_crossing` reports that.
     A window claim is checked where it enters, by :func:`from_window_set` and
-    :func:`triangulation_from_json`, not here.
+    :func:`triangulation_from_json`, not here.  A flip inherits its
+    triangulation's verdicts: it checks the new arc against every generator
+    and decides the pairs of fixed arcs again, but re-checks no kept family.
 
     Construction also indexes the generators: ``_ends`` maps the circuit key
     of each endpoint of a ``Single`` to ``(generator position, partner,
@@ -356,6 +358,12 @@ class Triangulation:
     _crossing: Optional[tuple[Arc, Arc]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._index_and_check(0)
+
+    def _index_and_check(self, first_new: int) -> None:
+        """Index the generators and check them.  Those before ``first_new`` come
+        from a triangulation with a claim (see :func:`_replace_arc`), so their
+        own checks and their pairs that involve a family are skipped."""
         limits.require(len(self.generators), limits.GENERATOR_LIMIT, limits.GENERATORS)
         ends: dict[tuple[int, int], list[_Partner]] = {}
         families: list[tuple[int, Family]] = []
@@ -366,39 +374,49 @@ class Triangulation:
                     raise TriangulationError("generator arc on the wrong surface")
                 ends.setdefault(arc.ka, []).append((i, arc.b, arc.kb))
                 ends.setdefault(arc.kb, []).append((i, arc.a, arc.ka))
-            else:
-                for e in (gen.e0, gen.e1):
-                    if isinstance(e, Moving):
-                        if not 1 <= e.interval <= self.surface.intervals:
-                            raise TriangulationError(f"moving endpoint interval {e.interval} out of range")
-                        limits.require(e.stride, limits.STRIDE_LIMIT, limits.STRIDE)
-                    elif e.surface is not self.surface:
-                        raise TriangulationError("fixed endpoint on the wrong surface")
-                bad = _invalid_family_param(gen)
-                if bad is not None:
-                    raise TriangulationError(f"family degenerates at parameter {bad}")
-                dup = duplicate_witness(self.surface, gen, gen, same=True)
-                if dup is not None:
-                    raise DuplicateArcError(f"arc {format_arc(dup)} appears twice in one family")
-                families.append((i, gen))
+                continue
+            families.append((i, gen))
+            if i < first_new:
+                continue
+            for e in (gen.e0, gen.e1):
+                if isinstance(e, Moving):
+                    if not 1 <= e.interval <= self.surface.intervals:
+                        raise TriangulationError(f"moving endpoint interval {e.interval} out of range")
+                    limits.require(e.stride, limits.STRIDE_LIMIT, limits.STRIDE)
+                elif e.surface is not self.surface:
+                    raise TriangulationError("fixed endpoint on the wrong surface")
+            bad = _invalid_family_param(gen)
+            if bad is not None:
+                raise TriangulationError(f"family degenerates at parameter {bad}")
+            dup = duplicate_witness(self.surface, gen, gen, same=True)
+            if dup is not None:
+                raise DuplicateArcError(f"arc {format_arc(dup)} appears twice in one family")
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_families", tuple(families))
         # one pass over the generator pairs, a family against itself first: a
         # duplicate is refused at once, the first crossing only remembered
         gens = self.generators
+        # of the inherited pairs, only those of two fixed arcs are decided again
+        checked = [j for j, gen in enumerate(gens) if j >= first_new or isinstance(gen, Single)]
         crossing: Optional[tuple[Arc, Arc]] = None
+        done = 0  # the checked generators up to i
         for i, gen in enumerate(gens):
-            if crossing is None and isinstance(gen, Family):
-                crossing = crossing_witness(self.surface, gen, gen, same=True)
-            for j in range(i + 1, len(gens)):
+            if i < first_new and isinstance(gen, Family):
+                partners: Iterable[int] = range(first_new, len(gens))
+            else:
+                done += 1
+                partners = checked[done:]
+                if crossing is None and isinstance(gen, Family):
+                    crossing = crossing_witness(self.surface, gen, gen, same=True)
+            for j in partners:
                 dup = duplicate_witness(self.surface, gen, gens[j])
                 if dup is not None:
                     raise DuplicateArcError(f"arc {format_arc(dup)} appears in two generators")
                 if crossing is None:
                     crossing = crossing_witness(self.surface, gen, gens[j])
         object.__setattr__(self, "_crossing", crossing)
-        # a certificate is a claim, whether a builder or a file makes it: at
-        # least check that the arcs it certifies do not cross
+        # a certificate is a claim, whether a builder, a flip or a file makes
+        # it: at least check that the arcs it certifies do not cross
         if crossing is not None and self.certificate is not None:
             raise CrossingError(*crossing)
 
@@ -465,6 +483,51 @@ def arc_crossing_in(t: Triangulation, arc: Arc) -> Optional[Arc]:
         if hit is not None:
             return hit[1]
     return None
+
+
+def _remove_arc(t: Triangulation, a: Arc) -> tuple[Generator, ...]:
+    """The generators of t without the arc a: a family holding a is cut
+    round it into the pieces of its domain on either side."""
+    out: list[Generator] = []
+    removed = False
+    for gen in t.generators:
+        if isinstance(gen, Single):
+            if gen.arc == a:
+                removed = True
+                continue
+            out.append(gen)
+            continue
+        tpar = family_param_of(gen, a)
+        if tpar is None:
+            out.append(gen)
+            continue
+        removed = True
+        lo, hi = gen.domain.lo, gen.domain.hi
+        for part in (IntRange(lo, tpar - 1), IntRange(tpar + 1, hi)):
+            if part.is_empty:
+                continue
+            if part.is_bounded and part.lo == part.hi:
+                out.append(Single(gen.arc_at(t.surface, part.lo)))
+            else:
+                out.append(Family(gen.e0, gen.e1, part))
+    if not removed:
+        raise TriangulationError(f"arc {format_arc(a)} is not in the triangulation")
+    return tuple(out)
+
+
+def _replace_arc(t: Triangulation, a: Arc, new_arc: Arc) -> Triangulation:
+    """t with a replaced by new_arc as its last generator, equal to that built
+    from scratch, errors included.  The other generators are t's or pieces of
+    them, and t makes a claim, so they neither cross nor repeat each other:
+    only the pairs meeting new_arc and the pairs of fixed arcs are checked."""
+    assert t.certificate is not None, "only a triangulation that claims no crossing passes its checks on"
+    kept = _remove_arc(t, a)
+    out = object.__new__(Triangulation)
+    object.__setattr__(out, "surface", t.surface)
+    object.__setattr__(out, "generators", kept + (Single(new_arc),))
+    object.__setattr__(out, "certificate", t.certificate)
+    out._index_and_check(len(kept))
+    return out
 
 
 # --- builders ---------------------------------------------------------------

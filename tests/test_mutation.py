@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from infgon import acceptance, triangulation
+from infgon import acceptance, limits, triangulation
 from infgon.affine import IntRange
 from infgon.arcs import Arc, arc_key, cross_transverse, format_arc, parse_arc, shift_arc
+from infgon.cli import main
 from infgon.homs import ext_dim, hom_dim
 from infgon.mutation import (
     UNDEFINED,
@@ -23,6 +24,8 @@ from infgon.mutation import (
 from infgon.surface import Point, Surface, adjacent
 from infgon.triangulation import (
     CERTIFIED_MAXIMAL,
+    CrossingError,
+    DuplicateArcError,
     Family,
     Moving,
     Progression,
@@ -253,6 +256,94 @@ def test_flip_checks_crossings_in_one_pass(monkeypatch):
     calls.clear()
     assert validate_non_crossing(res.new_triangulation).ok
     assert calls == []
+
+
+def _flip_as_built(t, a):
+    """The flip of a in t, after checking that it equals the triangulation
+    built from scratch from its generators, index and crossing included."""
+    res = flip(t, a)
+    nt = res.new_triangulation
+    built = Triangulation(t.surface, nt.generators, t.certificate)
+    assert nt == built and nt.generators[-1] == Single(res.new_arc)
+    assert (nt._ends, nt._families, nt._crossing) == (built._ends, built._families, built._crossing)
+    return res
+
+
+def test_a_flip_equals_the_triangulation_built_from_scratch():
+    """A flip checks only the pairs that meet the new arc and the pairs of
+    fixed arcs, and still builds what construction builds, errors included."""
+    t = fountain1()
+    a = parse_arc(C1, "1:0-1:5")
+    kept = triangulation._remove_arc(t, a)
+    # 1:1-1:3 crosses 1:0-1:2 and 1:0-1:4 repeats itself: instances of a piece of the cut family
+    for token, error in (("1:1-1:3", CrossingError), ("1:0-1:4", DuplicateArcError)):
+        new_arc = parse_arc(C1, token)
+        with pytest.raises(error) as built:
+            Triangulation(C1, kept + (Single(new_arc),), t.certificate)
+        with pytest.raises(error) as flipped:
+            triangulation._replace_arc(t, a, new_arc)
+        assert str(flipped.value) == str(built.value) and str(built.value)
+        assert getattr(flipped.value, "witness", None) == getattr(built.value, "witness", None)
+
+    cases = []
+    for s in (C1, C2, Surface(True, 3)):
+        bases = [s.point(1, p) for p in range(-2, 3)] + [s.accumulation(k) for k in range(1, s.intervals + 1)]
+        cases += [(build_fountain(s, base), Window.symmetric(s, 3)) for base in bases]
+    cases.append((canonical_zigzag(), Window.symmetric(C1, 6)))
+    w = Window.symmetric(C1, 2)
+    cases += [(from_window_set(w, T), w) for T in window_brute_force(w)]
+    flips = 0
+    for t, w in cases:
+        for a in sorted(t.arcs_in_window(w), key=arc_key):
+            if not is_mutable(t, a):
+                continue
+            res = _flip_as_built(t, a)
+            nt = res.new_triangulation
+            b = next((b for b in sorted(nt.arcs_in_window(w), key=arc_key) if b != res.new_arc and is_mutable(nt, b)), None)
+            if b is not None:
+                _flip_as_built(nt, b)
+            flips += 1 + (b is not None)
+    assert flips > 500
+
+
+def test_flips_of_families_make_no_solver_call(monkeypatch):
+    """A flip re-checks no pair of inherited generators that involves a
+    family, so on fountains and the zigzag it needs no two-variable solve and
+    no family degeneracy check."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flip reached the solver or a family's own checks")
+
+    cases = [build_fountain(s, s.point(1, 0)) for s in (C1, C2, Surface(True, 3))]
+    cases += [build_fountain(s, s.accumulation(1)) for s in (C1, C2, Surface(True, 3))]
+    cases.append(canonical_zigzag())
+    monkeypatch.setattr(triangulation, "conjunction_model", refuse)
+    monkeypatch.setattr(triangulation, "_invalid_family_param", refuse)
+    flips = 0
+    for t in cases:
+        w = Window.symmetric(t.surface, 3)
+        for a in sorted(t.arcs_in_window(w), key=arc_key):
+            if is_mutable(t, a):
+                res = flip(t, a)
+                back = flip(res.new_triangulation, res.new_arc)
+                assert back.new_arc == a
+                flips += 2
+    assert flips > 100
+
+
+def test_a_flip_over_the_generator_limit_is_refused(monkeypatch, capsys):
+    t = fountain1()
+    a = parse_arc(C1, "1:0-1:5")
+    count = len(flip(t, a).new_triangulation.generators)
+    assert count > len(t.generators)
+    monkeypatch.setattr(limits, "GENERATOR_LIMIT", count - 1)
+    message = f"triangulation has {count} generators, limit is {count - 1}"
+    with pytest.raises(limits.ResourceLimitError) as err:
+        flip(t, a)
+    assert str(err.value) == message
+    assert main(["flip", "--triangulation", "fountain(completed:1,1:0)", "--arc", "1:0-1:5"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_flip_fountain_and_surgery():
