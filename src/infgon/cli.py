@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Structured JSON goes to stdout (sorted keys, so repeated runs are byte
-identical); ``--pretty`` switches to aligned key/value lines.  Exit codes:
-0 success, 1 verification failure, 2 usage or parse error or a query over
-a resource limit.
+identical); ``--pretty`` switches to aligned key/value lines, with strings
+bare and every other value a JSON literal.  Exit codes: 0 success, 1
+verification failure, 2 usage or parse error or a query over a resource
+limit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ if TYPE_CHECKING:
 # tokens, so a cold call loads only its own closure, and a refused token
 # loads no layer that parsing it does not need (``tests/test_layers.py``
 # pins both).  Each verb returns its payload and exit code; ``main`` alone
-# prints the payload.
+# prints the payload.  The verb table in ``_build_parser`` is the one place
+# that declares a verb's flags, the surface flavour it needs and its help.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -41,8 +43,8 @@ class UsageError(Exception):
 def _emit(payload: dict, pretty: bool) -> None:
     if pretty:
         width = max((len(k) for k in payload), default=0)
-        for k in sorted(payload):
-            print(f"{k.ljust(width)}  {payload[k]}")
+        for k, v in sorted(payload.items()):
+            print(f"{k.ljust(width)}  {v if isinstance(v, str) else json.dumps(v, sort_keys=True)}")
     else:
         print(json.dumps(payload, sort_keys=True))
 
@@ -88,16 +90,16 @@ def _write_out(path: str, text: str) -> None:
         raise UsageError(f"--out {path!r}: cannot write the file ({exc.strerror})")
 
 
-def _flavoured(args, surface: Surface, completed: bool | None) -> Surface:
+def _flavoured(args, surface: Surface) -> Surface:
     """The parsed --surface, refused when the verb applies to the other flavour only."""
-    if completed is not None and surface.completed != completed:
-        flavour = "completed" if completed else "uncompleted"
+    if args.completed is not None and surface.completed != args.completed:
+        flavour = "completed" if args.completed else "uncompleted"
         raise UsageError(f"{args.verb} applies to {flavour} surfaces only, got {args.surface!r}")
     return surface
 
 
-def _arc_pair(args, completed: bool | None = None) -> tuple[Arc, Arc]:
-    surface = _flavoured(args, parse_surface(args.surface), completed)
+def _arc_pair(args) -> tuple[Arc, Arc]:
+    surface = _flavoured(args, parse_surface(args.surface))
     return parse_arc(surface, args.src), parse_arc(surface, args.dst)
 
 
@@ -109,14 +111,14 @@ def _cmd_hom(args) -> tuple[dict, int]:
 
 
 def _cmd_ext(args) -> tuple[dict, int]:
-    g, d = _arc_pair(args, completed=True)
+    g, d = _arc_pair(args)
     from .homs import ext_case, ext_dim
 
     return {"dim": ext_dim(g, d), "case": ext_case(g, d).value}, EXIT_OK
 
 
 def _cmd_ext_oracle(args) -> tuple[dict, int]:
-    g, d = _arc_pair(args, completed=True)
+    g, d = _arc_pair(args)
     from .homs import ext_dim_oracle
 
     return {"dim": ext_dim_oracle(g, d)}, EXIT_OK
@@ -128,7 +130,7 @@ def _cmd_cross(args) -> tuple[dict, int]:
 
 
 def _cmd_factor(args) -> tuple[dict, int]:
-    g, d = _arc_pair(args, completed=False)
+    g, d = _arc_pair(args)
     from .homs import factors_over, hom_dim
 
     if not hom_dim(g, d):
@@ -138,7 +140,7 @@ def _cmd_factor(args) -> tuple[dict, int]:
 
 
 def _cmd_classify(args) -> tuple[dict, int]:
-    surface = _flavoured(args, parse_surface(args.surface), completed=False)
+    surface = _flavoured(args, parse_surface(args.surface))
     arc = parse_arc(surface, args.arc)
     return {"class": classify(arc).value}, EXIT_OK
 
@@ -162,7 +164,7 @@ def _cmd_window_ct(args) -> tuple[dict, int]:
     include_accumulation = not args.no_accumulation
     limits.require(Window.symmetric_size(surface, args.bound, include_accumulation), limits.WINDOW_POINT_LIMIT,
                    limits.WINDOW_POINTS)
-    _flavoured(args, surface, completed=True)
+    _flavoured(args, surface)
     window = Window.symmetric(surface, args.bound, include_accumulation)
     sets = window_brute_force(window)
     arcs = window_arcs(window)
@@ -192,7 +194,7 @@ def _cmd_leapfrog(args) -> tuple[dict, int]:
 
 
 def _cmd_limit(args) -> tuple[dict, int]:
-    surface = _flavoured(args, parse_surface(args.surface), completed=True)
+    surface = _flavoured(args, parse_surface(args.surface))
     fixed = parse_point(surface, args.fixed)
     from .triangulation import Family, IntRange, Moving, limit_of_family
 
@@ -341,103 +343,49 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="infgon", description=__doc__)
     ap.add_argument("--pretty", action="store_true", help="aligned key/value output instead of JSON")
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def pair(p):
-        p.add_argument("--surface", required=True)
-        p.add_argument("--from", dest="src", required=True, help="first arc, e.g. 1:0-2:3")
-        p.add_argument("--to", dest="dst", required=True, help="second arc")
-
-    p = sub.add_parser("hom", help="morphism space dimension between two arcs")
-    pair(p)
-    p.set_defaults(run=_cmd_hom)
-
-    p = sub.add_parser("ext", help="restricted extension dimension and its case")
-    pair(p)
-    p.set_defaults(run=_cmd_ext)
-
-    p = sub.add_parser("ext-oracle", help="extension dimension recomputed from the factorization oracle")
-    pair(p)
-    p.set_defaults(run=_cmd_ext_oracle)
-
-    p = sub.add_parser("cross", help="transverse crossing of two arcs")
-    pair(p)
-    p.set_defaults(run=_cmd_cross)
-
-    p = sub.add_parser("factor", help="does a nonzero map factor through an arc class")
-    pair(p)
-    p.add_argument("--family", choices=sorted(_FAMILY_NAMES), default="all")
-    p.set_defaults(run=_cmd_factor)
-
-    p = sub.add_parser("classify", help="squeeze behaviour of an uncompleted arc")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--arc", required=True)
-    p.set_defaults(run=_cmd_classify)
-
-    p = sub.add_parser("validate", help="check a triangulation file for crossings")
-    p.add_argument("--triangulation", required=True)
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser("window-ct", help="compare maximal non-crossing sets with weak cluster-tilting sets")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--no-accumulation", action="store_true")
-    p.set_defaults(run=_cmd_window_ct)
-
-    p = sub.add_parser("leapfrog", help="detect an infinite leapfrog in a triangulation")
-    p.add_argument("--triangulation", required=True)
-    p.set_defaults(run=_cmd_leapfrog)
-
-    p = sub.add_parser("limit", help="limit of a fan family")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--fixed", required=True, help="fixed endpoint, e.g. 1:0 or a1")
-    p.add_argument("--interval", type=int, required=True)
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--stride", type=int, required=True)
-    p.add_argument("--lo", type=int, default=None)
-    p.add_argument("--hi", type=int, default=None)
-    p.add_argument("--end", type=int, choices=(1, -1), default=None)
-    p.set_defaults(run=_cmd_limit)
-
-    p = sub.add_parser("frame", help="quadrilateral frame of an arc in a triangulation")
-    p.add_argument("--triangulation", required=True)
-    p.add_argument("--arc", required=True)
-    p.set_defaults(run=_cmd_frame)
-
-    p = sub.add_parser("approx", help="one-sided approximation of an arc")
-    p.add_argument("--triangulation", required=True)
-    p.add_argument("--arc", required=True)
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.set_defaults(run=_cmd_approx)
-
-    p = sub.add_parser("mutable", help="is an arc flippable in a triangulation")
-    p.add_argument("--triangulation", required=True)
-    p.add_argument("--arc", required=True)
-    p.set_defaults(run=_cmd_mutable)
-
-    p = sub.add_parser("flip", help="flip an arc, reporting the exchange conflations")
-    p.add_argument("--triangulation", required=True)
-    p.add_argument("--arc", required=True)
-    p.add_argument("--out", default=None, help="write the flipped triangulation JSON here")
-    p.set_defaults(run=_cmd_flip)
-
-    p = sub.add_parser("approx-object", help="generators of incoming morphisms into a shifted arc")
-    p.add_argument("--triangulation", required=True)
-    p.add_argument("--arc", required=True)
-    p.set_defaults(run=_cmd_approx_object)
-
-    p = sub.add_parser("render", help="draw arcs or a triangulation as SVG")
-    p.add_argument("--triangulation", default=None)
-    p.add_argument("--surface", default=None)
-    p.add_argument("--arcs", nargs="*", default=None)
-    p.add_argument("--highlight", nargs="*", default=[])
-    p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_render)
-
-    p = sub.add_parser("verify-suite", help="run the verification batteries")
-    p.add_argument("--level", choices=("desk", "smoke"), default="desk")
-    p.set_defaults(run=_cmd_verify_suite)
-
+    surface = ("--surface", {"required": True})
+    pair = (surface, ("--from", {"dest": "src", "required": True, "help": "first arc, e.g. 1:0-2:3"}),
+            ("--to", {"dest": "dst", "required": True, "help": "second arc"}))
+    triangulation, arc = ("--triangulation", {"required": True}), ("--arc", {"required": True})
+    integer = {"type": int, "required": True}
+    # name, handler, the flavour --surface must have (True completed, False uncompleted, None either), help, flags
+    verbs = (
+        ("hom", _cmd_hom, None, "morphism space dimension between two arcs", pair),
+        ("ext", _cmd_ext, True, "restricted extension dimension and its case", pair),
+        ("ext-oracle", _cmd_ext_oracle, True, "extension dimension recomputed from the factorization oracle",
+         pair),
+        ("cross", _cmd_cross, None, "transverse crossing of two arcs", pair),
+        ("factor", _cmd_factor, False, "does a nonzero map factor through an arc class",
+         (*pair, ("--family", {"choices": sorted(_FAMILY_NAMES), "default": "all"}))),
+        ("classify", _cmd_classify, False, "squeeze behaviour of an uncompleted arc", (surface, arc)),
+        ("validate", _cmd_validate, None, "check a triangulation file for crossings", (triangulation,)),
+        ("window-ct", _cmd_window_ct, True, "compare maximal non-crossing sets with weak cluster-tilting sets",
+         (surface, ("--bound", integer), ("--no-accumulation", {"action": "store_true"}))),
+        ("leapfrog", _cmd_leapfrog, None, "detect an infinite leapfrog in a triangulation", (triangulation,)),
+        ("limit", _cmd_limit, True, "limit of a fan family",
+         (surface, ("--fixed", {"required": True, "help": "fixed endpoint, e.g. 1:0 or a1"}),
+          ("--interval", integer), ("--base", integer), ("--stride", integer),
+          ("--lo", {"type": int}), ("--hi", {"type": int}), ("--end", {"type": int, "choices": (1, -1)}))),
+        ("frame", _cmd_frame, None, "quadrilateral frame of an arc in a triangulation", (triangulation, arc)),
+        ("approx", _cmd_approx, None, "one-sided approximation of an arc",
+         (triangulation, arc, ("--side", {"choices": ("left", "right"), "required": True}))),
+        ("mutable", _cmd_mutable, None, "is an arc flippable in a triangulation", (triangulation, arc)),
+        ("flip", _cmd_flip, None, "flip an arc, reporting the exchange conflations",
+         (triangulation, arc, ("--out", {"help": "write the flipped triangulation JSON here"}))),
+        ("approx-object", _cmd_approx_object, None, "generators of incoming morphisms into a shifted arc",
+         (triangulation, arc)),
+        ("render", _cmd_render, None, "draw arcs or a triangulation as SVG",
+         (("--triangulation", {}), ("--surface", {}), ("--arcs", {"nargs": "*"}),
+          ("--highlight", {"nargs": "*", "default": []}), ("--radius", {"type": int, "default": 6}),
+          ("--out", {"required": True}))),
+        ("verify-suite", _cmd_verify_suite, None, "run the verification batteries",
+         (("--level", {"choices": ("desk", "smoke"), "default": "desk"}),)),
+    )
+    for name, run, completed, help_line, flags in verbs:
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run, completed=completed)
     return ap
 
 

@@ -696,9 +696,39 @@ def test_usage_errors(capsys):
 
 
 def test_pretty_output(capsys):
+    """--pretty prints strings bare and every other value as its JSON literal, never a Python repr."""
     code, out = run(capsys, "--pretty", "hom", "--surface", "completed:1", "--from", "1:0-1:2", "--to", "1:0-1:2")
     assert code == 0
     assert "dim" in out and "{" not in out
+    code, out = run(capsys, "--pretty", "flip", "--triangulation", "fountain(completed:1,1:0)", "--arc", "1:0-1:5")
+    assert (code, out.splitlines()) == (0, [
+        'conflations  [{"end": "1:4-1:6", "middle": ["1:0-1:4", null], "start": "1:0-1:5"}, '
+        '{"end": "1:0-1:5", "middle": ["1:0-1:6", null], "start": "1:4-1:6"}]',
+        "flipped      true",
+        "new_arc      1:4-1:6",
+    ])
+    code, out = run(capsys, "--pretty", "approx", "--triangulation", "fountain(completed:1,1:0)", "--arc", "1:0-a1",
+                    "--side", "left")
+    assert (code, out.splitlines()) == (0, ["exists   false", "reason   NoExtremum", 'witness  ["1:2+1t"]'])
+
+
+def test_parser_is_pinned():
+    """Every verb keeps its flags: each argparse action's option strings, dest, required, default, type name,
+    choices, nargs, help and class hash to the value recorded when each verb had its own parser block."""
+    from infgon.cli import _build_parser
+
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "verb")
+    actions = repr([
+        (name, p.description, [
+            (a.option_strings, a.dest, a.required, a.default, getattr(a.type, "__name__", a.type), a.choices, a.nargs,
+             a.help, type(a).__name__)
+            for a in p._actions
+        ])
+        for name, p in subparsers.choices.items()
+    ])
+    assert hashlib.sha256(actions.encode()).hexdigest() == (
+        "003ab1ad4b03c5e4c038bcd876ea8bbfaaa6d98e3f616a5b3850d43bacac0a5f"
+    )
 
 
 def test_verify_suite_smoke(capsys):
